@@ -13,12 +13,13 @@ Subcommands:
     tlt store serve         serve read-only lookups over the line protocol
     tlt store dump          print a human-readable record summary
     tlt verify scan         extract a UUID from an advertising frame
-    tlt verify challenge    full scan/challenge/verdict loop against a device
+    tlt verify challenge    one exchange with a device (verifier.run_exchange)
     tlt verify decide       turn a VERDICT line into an accept/reject
     tlt threats run         replay threat scenarios TA01..TA06 (+ control)
 
 The store path defaults to the TLT_STORE environment variable. `--seed`
-makes every randomness draw deterministic for reproducible runs.
+builds one deterministic randomness source that main() hands to every draw
+(keys, ids, nonces) for reproducible runs; without it draws come from the OS.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from . import crypto, documents, netstore, threats, transport
 from . import device as device_mod
 from . import store as store_mod
 from . import verifier as verifier_mod
-from .errors import NotFound, TltError, UsageError
+from .errors import MissingFragment, TltError, UsageError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,9 +154,9 @@ def build_parser() -> _Parser:
 
 def _cmd_authority_init(args) -> int:
     store_path = _need_store(args)
-    pk, sk = crypto.generate_keypair()
+    pk, sk = crypto.generate_keypair(args.rng)
     root = documents.make_root_certificate(args.info, pk, sk)
-    st = store_mod.init_store(root)
+    st = store_mod.Store(root)
     st.persist(store_path)
     crypto.save_secret_key(sk, args.key)
     crypto.save_public_key(pk, Path(args.key).with_suffix(crypto.PUBLIC_KEY_EXT))
@@ -168,8 +169,8 @@ def _cmd_mfr_register(args) -> int:
     store_path = _need_store(args)
     st = store_mod.load_store(store_path)
     authority_sk = crypto.load_secret_key(args.authority_key)
-    pk, sk = crypto.generate_keypair()
-    mcrt = documents.make_manufacturer_certificate(args.info, pk, authority_sk)
+    pk, sk = crypto.generate_keypair(args.rng)
+    mcrt = documents.make_manufacturer_certificate(args.info, pk, authority_sk, args.rng)
     seq = st.register("manufacturer", mcrt)
     st.persist(store_path)
     crypto.save_secret_key(sk, args.key)
@@ -200,7 +201,7 @@ def _cmd_device_birth(args) -> int:
     st = store_mod.load_store(store_path)
     mfr_sk = crypto.load_secret_key(args.mfr_key)
     mcrt = documents.load_document(args.mfr_cert)
-    dev, dcrt = device_mod.device_birth(mcrt, mfr_sk, st.root, args.info)
+    dev, dcrt = device_mod.device_birth(mcrt, mfr_sk, st.root, args.info, args.rng)
     st.register("device", dcrt)
     st.persist(store_path)
     out = Path(args.out)
@@ -212,7 +213,7 @@ def _cmd_device_birth(args) -> int:
 
 
 def _load_device(args) -> device_mod.DeviceState:
-    return device_mod.load_device(args.device, key_path=args.key)
+    return device_mod.load_device(args.device, key_path=args.key, rng=args.rng)
 
 
 def _cmd_device_install(args) -> int:
@@ -255,7 +256,10 @@ def _cmd_device_respond(args) -> int:
     if len(raw) == crypto.NONCE_LEN:
         nonce = raw
     else:
-        _, nonce = transport.reassemble([transport.parse_data_frame(raw)])
+        frame = transport.parse_data_frame(raw)
+        if frame.frag_total != 1:
+            raise MissingFragment("a challenge frame must carry the whole challenge")
+        nonce = frame.payload
     print(dev.handle_challenge(nonce).hex())
     return 0
 
@@ -309,35 +313,7 @@ def _cmd_verify_challenge(args) -> int:
         store_view = netstore.StoreClient(host or "127.0.0.1", int(port))
     else:
         store_view = store_mod.load_store(_need_store(args))
-    dev = _load_device(args)
-
-    user = verifier_mod.Verifier()
-    channel = transport.Channel()
-    user_end, dev_end = channel.endpoint_a(), channel.endpoint_b()
-
-    uuid = verifier_mod.scan(dev.advertise())
-    try:
-        view = store_view.lookup_device(uuid)
-    except NotFound:
-        view = None
-
-    session, frames = user.issue_challenge(uuid)
-    for f in frames:
-        user_end.send(f)
-    received = []
-    while (data := dev_end.recv()) is not None:
-        received.append(transport.parse_data_frame(data))
-    _, nonce = transport.reassemble(received)
-
-    response_payload = dev.handle_challenge(nonce)
-    for f in transport.fragment(transport.MSG_RESPONSE, response_payload):
-        dev_end.send(transport.encode_data_frame(f))
-    answer = []
-    while (data := user_end.recv()) is not None:
-        answer.append(transport.parse_data_frame(data))
-    _, payload = transport.reassemble(answer)
-
-    verdict = user.verify_response(session, payload, view, store_view)
+    verdict = verifier_mod.run_exchange(store_view, _load_device(args), args.rng)
     print(verdict.render())
     accepted = verifier_mod.trust_decision(verdict, args.auto_accept)
     print("ACCEPT" if accepted else "REJECT")
@@ -391,8 +367,7 @@ def main(argv=None) -> int:
         handler = _HANDLERS.get((args.actor, args.command))
         if handler is None:
             raise UsageError(f"unknown subcommand {args.actor} {args.command}")
-        if args.seed is not None:
-            crypto.set_default_source(crypto.SeededRandomSource(args.seed))
+        args.rng = crypto.SeededRandomSource(args.seed) if args.seed is not None else None
         if args.trace_frames:
             transport.set_frame_trace(
                 lambda direction, data: print(f"FRAME {direction} {data.hex()}", file=sys.stderr)
@@ -410,7 +385,6 @@ def main(argv=None) -> int:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     finally:
-        crypto.set_default_source(crypto.SystemRandomSource())
         transport.set_frame_trace(None)
 
 

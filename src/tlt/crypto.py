@@ -66,21 +66,12 @@ class SeededRandomSource:
         return self._rng.randbytes(n)
 
 
-_default_source = SystemRandomSource()
-
-
-def set_default_source(source) -> None:
-    """Replace the process-wide randomness source (used by --seed)."""
-    global _default_source
-    _default_source = source
-
-
-def default_source():
-    return _default_source
+_SYSTEM_SOURCE = SystemRandomSource()
 
 
 def random_bytes(n: int, rng=None) -> bytes:
-    return (rng or _default_source).bytes(n)
+    """n random bytes from rng, or from the OS when rng is None."""
+    return (rng or _SYSTEM_SOURCE).bytes(n)
 
 
 def new_nonce(rng=None) -> bytes:
@@ -168,13 +159,6 @@ def key_id(pk: PublicKey) -> bytes:
 def digest(msg: bytes) -> bytes:
     """32-byte SHA-256 digest."""
     return hashlib.sha256(msg).digest()
-
-
-def extend_digest(prev: bytes, data: bytes) -> bytes:
-    """Chain a digest forward: sha256(prev || data). Order-sensitive."""
-    if len(prev) != DIGEST_LEN:
-        raise ValueError(f"digest must be {DIGEST_LEN} bytes")
-    return digest(bytes(prev) + bytes(data))
 
 
 # ---------------------------------------------------------------------------

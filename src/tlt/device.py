@@ -72,16 +72,6 @@ class DeviceState:
 
     # -- operations -------------------------------------------------------
 
-    def remember_digest(self, doc: Document, chain) -> None:
-        """Store a document's digest after verifying it against the root.
-
-        Raises ChainInvalid (and stores nothing) when verification fails.
-        """
-        result = documents.verify_chain(self._full_chain(doc, chain), self.trusted_root)
-        if not result:
-            raise ChainInvalid(result.reason)
-        self.verified_digests.add(documents.doc_digest(doc))
-
     def install_firmware(
         self, fw_doc: Document, fw_image: bytes, chain, instinfo: str
     ) -> Document:
@@ -159,21 +149,15 @@ class DeviceState:
             and documents.subject_uuid(inst) == self.uuid
             and inst.field(documents.INST_FW_DOC_DIGEST) == fw_digest
             and fw_digest in self.verified_digests
-            and _signed_by(inst, self.public_key)
+            and documents.signatures_verify(inst, self.public_key) is None
         )
         if ok and self.cfg is not None:
-            ok = documents.subject_uuid(self.cfg) == self.uuid and _signed_by(self.cfg, self.public_key)
+            ok = (
+                documents.subject_uuid(self.cfg) == self.uuid
+                and documents.signatures_verify(self.cfg, self.public_key) is None
+            )
         self.boot_status = BootStatus.OPERATIONAL if ok else BootStatus.INTEGRITY_FAILED
         return self.boot_status
-
-
-def _signed_by(doc: Document, pk: PublicKey) -> bool:
-    if not doc.signatures:
-        return False
-    return all(
-        hint == crypto.key_id(pk) and crypto.verify(pk, documents.signing_payload(doc, i), sig)
-        for i, (hint, sig) in enumerate(doc.signatures)
-    )
 
 
 def device_birth(
@@ -273,6 +257,8 @@ def load_device(path, key_path=None, rng=None) -> DeviceState:
     cfg = documents.decode(r.take(r.u32())) if r.u8() else None
     if not r.done():
         raise MalformedDocument("trailing bytes in device state file")
+    if status == BootStatus.OPERATIONAL and fw_slot is None:
+        raise MalformedDocument("operational device state has no firmware slot")
 
     key_path = Path(key_path) if key_path else path.with_suffix(crypto.SECRET_KEY_EXT)
     sk = crypto.load_secret_key(key_path)

@@ -441,7 +441,8 @@ def _well_formed(doc: Document) -> str | None:
     return None
 
 
-def _signatures_verify(doc: Document, issuer_pk: PublicKey) -> str | None:
+def signatures_verify(doc: Document, issuer_pk: PublicKey) -> str | None:
+    """None when every signature on doc verifies under issuer_pk, else a reason."""
     if not doc.signatures:
         return f"{DOC_TYPE_NAMES[doc.doc_type]} document is unsigned"
     want_hint = crypto.key_id(issuer_pk)
@@ -486,7 +487,7 @@ def verify_chain(chain: list[Document] | tuple[Document, ...], root: Document) -
         root_pk = embedded_public_key(anchor)
     except InvalidKey as exc:
         return _fail(str(exc))
-    reason = _signatures_verify(anchor, root_pk)
+    reason = signatures_verify(anchor, root_pk)
     if reason:
         return _fail(f"root does not self-verify: {reason}")
 
@@ -507,27 +508,9 @@ def verify_chain(chain: list[Document] | tuple[Document, ...], root: Document) -
             issuer_pk = embedded_public_key(issuer)
         except InvalidKey as exc:
             return _fail(str(exc))
-        reason = _signatures_verify(child, issuer_pk)
+        reason = signatures_verify(child, issuer_pk)
         if reason:
             return _fail(reason)
 
     return ChainResult(True)
 
-
-def verify_installation(inst: Document, dcrt: Document, fw_doc: Document) -> bool:
-    """True iff inst confirms installation of fw_doc on the device of dcrt."""
-    if inst.doc_type != DOC_INSTALLATION or dcrt.doc_type != DOC_DEVICE:
-        return False
-    if fw_doc.doc_type != DOC_FIRMWARE:
-        return False
-    if _well_formed(inst) or _well_formed(dcrt):
-        return False
-    if inst.field(INST_UUID) != dcrt.field(DEV_UUID):
-        return False
-    if inst.field(INST_FW_DOC_DIGEST) != doc_digest(fw_doc):
-        return False
-    try:
-        device_pk = embedded_public_key(dcrt)
-    except InvalidKey:
-        return False
-    return _signatures_verify(inst, device_pk) is None

@@ -54,17 +54,10 @@ def decode_device_payload(payload: bytes, uuid: bytes) -> DeviceView:
     mcrt_bytes = rest[4 : 4 + m]
     if len(mcrt_bytes) != m or len(rest) != 4 + m:
         raise ParseError("trailing bytes in device payload")
-    dcrt = documents.decode(dcrt_bytes)
-    mcrt = documents.decode(mcrt_bytes)
-    return DeviceView(
-        uuid=bytes(uuid),
-        dinf=dcrt.field(documents.DEV_INFO).decode(errors="replace"),
-        public_key=documents.embedded_public_key(dcrt),
-        mfr_id=dcrt.field(documents.DEV_MFR_ID),
-        mfr_info=mcrt.field(documents.MFR_INFO).decode(errors="replace"),
-        certificate=dcrt,
-        mfr_certificate=mcrt,
-    )
+    view = DeviceView.from_certificates(documents.decode(dcrt_bytes), documents.decode(mcrt_bytes))
+    if view.uuid != bytes(uuid):
+        raise ParseError("device certificate is for another UUID")
+    return view
 
 
 def encode_state_payload(view: StateView) -> bytes:

@@ -74,6 +74,19 @@ class DeviceView:
     certificate: Document
     mfr_certificate: Document
 
+    @classmethod
+    def from_certificates(cls, dcrt: Document, mcrt: Document) -> DeviceView:
+        """View of a device certificate and its issuer; the UUID is the certificate's."""
+        return cls(
+            uuid=documents.subject_uuid(dcrt),
+            dinf=dcrt.field(documents.DEV_INFO).decode(errors="replace"),
+            public_key=documents.embedded_public_key(dcrt),
+            mfr_id=dcrt.field(documents.DEV_MFR_ID),
+            mfr_info=mcrt.field(documents.MFR_INFO).decode(errors="replace"),
+            certificate=dcrt,
+            mfr_certificate=mcrt,
+        )
+
 
 @dataclass(frozen=True)
 class StateView:
@@ -115,11 +128,11 @@ class Store:
 
     # -- registration ------------------------------------------------------
 
-    def register(self, kind: RecordKind | str, doc: Document, chain=None) -> int:
+    def register(self, kind: RecordKind | str, doc: Document) -> int:
         """Admit a document after chain verification; returns its sequence.
 
-        Issuers are resolved from registered records; a caller-supplied
-        chain must byte-match the resolved intermediates.
+        Issuers are resolved from registered records, never supplied by the
+        caller.
         """
         if isinstance(kind, str):
             if kind not in _KIND_BY_NAME:
@@ -133,8 +146,6 @@ class Store:
             )
 
         intermediates = self._resolve_intermediates(kind, doc)
-        if chain is not None:
-            self._check_supplied_chain(chain, intermediates)
         result = documents.verify_chain([doc, *intermediates, self.root], self.root)
         if not result:
             if result.constraint:
@@ -164,16 +175,6 @@ class Store:
         if mfr_seq is None:  # pragma: no cover - devices only admit under registered mfrs
             raise UnknownIssuer("manufacturer is not registered")
         return [dcrt, self.records[mfr_seq].doc]
-
-    def _check_supplied_chain(self, chain, intermediates: list[Document]) -> None:
-        try:
-            supplied = [documents.encode_canonical(d) for d in chain]
-        except Exception:
-            raise UnknownIssuer("supplied chain contains malformed documents") from None
-        resolved = [documents.encode_canonical(d) for d in intermediates]
-        root_bytes = documents.encode_canonical(self.root)
-        if supplied not in (resolved, resolved + [root_bytes]):
-            raise UnknownIssuer("supplied chain does not match registered records")
 
     def _check_admission_constraints(self, kind: RecordKind, doc: Document) -> None:
         if kind == RecordKind.MANUFACTURER:
@@ -227,15 +228,7 @@ class Store:
             raise NotFound("unknown device UUID")
         dcrt = self.records[seq].doc
         mcrt = self.records[self._mfrs[documents.issuer_id(dcrt)]].doc
-        return DeviceView(
-            uuid=bytes(uuid),
-            dinf=dcrt.field(documents.DEV_INFO).decode(errors="replace"),
-            public_key=documents.embedded_public_key(dcrt),
-            mfr_id=dcrt.field(documents.DEV_MFR_ID),
-            mfr_info=mcrt.field(documents.MFR_INFO).decode(errors="replace"),
-            certificate=dcrt,
-            mfr_certificate=mcrt,
-        )
+        return DeviceView.from_certificates(dcrt, mcrt)
 
     def lookup_state(self, uuid: bytes, state_digest: bytes) -> StateView:
         entry = self._state_index.get((bytes(uuid), bytes(state_digest)))
@@ -277,11 +270,6 @@ class Store:
             for rec in self.records
         ]
         Path(path).write_text("\n".join(lines) + "\n")
-
-
-def init_store(root: Document) -> Store:
-    """Empty store anchored to a self-verifying root."""
-    return Store(root)
 
 
 def load_store(path) -> Store:

@@ -2,6 +2,7 @@
 
 Each scenario builds its own authority, store, manufacturer, and device,
 runs a scripted attack, then performs the standard user-side verification
+through verifier.run_exchange (the same loop `tlt verify challenge` uses)
 and checks the verdict against the expected outcome. Physical-interaction
 threats (TA01..TA03) cannot be modelled physically; they are represented as
 "the gate stays closed before any interaction", which is exactly what the
@@ -16,11 +17,14 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 
-from . import crypto, documents, transport, verifier as verifier_mod
+from . import crypto, documents
 from .device import DeviceState, device_birth
-from .errors import ChainInvalid, NotFound, ScenarioError
-from .store import Store, init_store
-from .verifier import StateCheck, TrustVerdict, Verifier
+from .errors import ChainInvalid, ScenarioError
+from .store import Store
+from .verifier import StateCheck, TrustVerdict, run_exchange
+
+# bench/workloads.py still calls the exchange loop by its old name, threats._exchange.
+from .verifier import run_exchange as _exchange  # noqa: F401
 
 # Security controls the harness can report as having fired.
 CONTROLS = {
@@ -84,7 +88,7 @@ class _Ecosystem:
 def _build_ecosystem(rng, register_install: bool = True) -> _Ecosystem:
     authority_pk, authority_sk = crypto.generate_keypair(rng)
     root = documents.make_root_certificate("Trust Authority", authority_pk, authority_sk)
-    store = init_store(root)
+    store = Store(root)
 
     mfr_pk, mfr_sk = crypto.generate_keypair(rng)
     mcrt = documents.make_manufacturer_certificate("Acme Devices", mfr_pk, authority_sk, rng)
@@ -112,40 +116,6 @@ def _attacker_toolkit(rng):
     return rogue_root, ask, rogue_mcrt, msk
 
 
-def _exchange(store, dev: DeviceState, rng, respond=None) -> TrustVerdict:
-    """Full user-side flow over the in-memory channel.
-
-    `respond` overrides the device's answer (attacker-controlled radio).
-    """
-    user = Verifier(rng)
-    channel = transport.Channel()
-    user_end, dev_end = channel.endpoint_a(), channel.endpoint_b()
-
-    uuid = verifier_mod.scan(dev.advertise())
-    try:
-        view = store.lookup_device(uuid)
-    except NotFound:
-        view = None
-
-    session, challenge_frames = user.issue_challenge(uuid)
-    for f in challenge_frames:
-        user_end.send(f)
-    received = []
-    while (data := dev_end.recv()) is not None:
-        received.append(transport.parse_data_frame(data))
-    _, challenge = transport.reassemble(received)
-
-    payload = respond(challenge) if respond is not None else dev.handle_challenge(challenge)
-    for f in transport.fragment(transport.MSG_RESPONSE, payload):
-        dev_end.send(transport.encode_data_frame(f))
-    answer_frames = []
-    while (data := user_end.recv()) is not None:
-        answer_frames.append(transport.parse_data_frame(data))
-    _, response = transport.reassemble(answer_frames)
-
-    return user.verify_response(session, response, view, store)
-
-
 def _force_reflash(dev: DeviceState, fw_doc: documents.Document, instinfo: str) -> None:
     """Simulate an attacker with hardware access rewriting flash contents.
 
@@ -169,7 +139,7 @@ def _scenario_ctrl(rng) -> tuple[TrustVerdict, list[str]]:
     eco = _build_ecosystem(rng)
     cfg = eco.dev.apply_configuration(b'{"volume": 3}', 1)
     eco.store.register("configuration", cfg)
-    verdict = _exchange(eco.store, eco.dev, rng)
+    verdict = run_exchange(eco.store, eco.dev, rng)
     return verdict, ["honest device with registered firmware and configuration"]
 
 
@@ -181,7 +151,7 @@ def _scenario_ta01(rng) -> tuple[TrustVerdict, list[str]]:
         crypto.random_bytes(256, rng), "harvester v0.1", rogue_msk, rogue_mcrt
     )
     _force_reflash(eco.dev, harvester, "slot=0")
-    verdict = _exchange(eco.store, eco.dev, rng)
+    verdict = run_exchange(eco.store, eco.dev, rng)
     notes = ["device reflashed off-book; its state digest has no store entry"]
     return verdict, notes
 
@@ -195,7 +165,7 @@ def _scenario_ta02(rng) -> tuple[TrustVerdict, list[str]]:
     eco.store.register("firmware", fw2)
     inst2 = eco.dev.install_firmware(fw2, image2, [eco.mcrt], "slot=0")
     eco.store.register("installation", inst2)
-    verdict = _exchange(eco.store, rolled_back, rng)
+    verdict = run_exchange(eco.store, rolled_back, rng)
     notes = ["update registered, then the device was rolled back to the old image"]
     return verdict, notes
 
@@ -204,7 +174,7 @@ def _scenario_ta03(rng) -> tuple[TrustVerdict, list[str]]:
     """Exploit attempt: attacker answers the challenge with crafted garbage."""
     eco = _build_ecosystem(rng)
     junk = crypto.random_bytes(128, rng)
-    verdict = _exchange(eco.store, eco.dev, rng, respond=lambda ch: junk)
+    verdict = run_exchange(eco.store, eco.dev, rng, respond=lambda ch: junk)
     notes = ["unverified response rejected before any app-level processing"]
     return verdict, notes
 
@@ -223,7 +193,7 @@ def _scenario_ta04(rng) -> tuple[TrustVerdict, list[str]]:
         notes.append("on-device install of untrusted firmware refused (secure boot held)")
     _force_reflash(eco.dev, rogue_fw, "slot=0")
     notes.append("flash forcibly rewritten; installed-firmware proof missing from store")
-    verdict = _exchange(eco.store, eco.dev, rng)
+    verdict = run_exchange(eco.store, eco.dev, rng)
     return verdict, notes
 
 
@@ -235,13 +205,13 @@ def _scenario_ta05(rng) -> tuple[TrustVerdict, list[str]]:
     image = crypto.random_bytes(256, rng)
     fake_fw = documents.sign_firmware(image, "lock-9000 v1.0", rogue_msk, rogue_mcrt)
     impostor.install_firmware(fake_fw, image, [rogue_mcrt], "slot=0")
-    verdict = _exchange(eco.store, impostor, rng)
+    verdict = run_exchange(eco.store, impostor, rng)
     notes = ["impostor UUID has no registered certificate"]
 
     # Cloning the honest UUID does not help: the key is still untrusted.
     clone = copy.deepcopy(impostor)
     clone.uuid = eco.dev.uuid
-    clone_verdict = _exchange(eco.store, clone, rng)
+    clone_verdict = run_exchange(eco.store, clone, rng)
     if clone_verdict.state_check != StateCheck.BAD_SIGNATURE or clone_verdict.gate:
         raise ScenarioError("cloned-UUID impostor was not rejected on signature")
     notes.append("cloned-UUID probe rejected: bad_signature")
@@ -253,7 +223,7 @@ def _scenario_ta06(rng) -> tuple[TrustVerdict, list[str]]:
     eco = _build_ecosystem(rng)
     cfg = eco.dev.apply_configuration(b'{"telemetry": "everything"}', 1)
     # attacker (or sloppy installer) never registers the configuration proof
-    verdict = _exchange(eco.store, eco.dev, rng)
+    verdict = run_exchange(eco.store, eco.dev, rng)
     notes = ["configuration applied on the device but absent from the store"]
     return verdict, notes
 

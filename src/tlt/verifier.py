@@ -5,6 +5,9 @@ protocol) and its own freshly issued challenge nonces. Responses are checked
 in order: signature, challenge freshness, state lookup, state currency. The
 interaction gate opens only for a current, verified state, and a failed gate
 can never be overridden by the user.
+
+run_exchange is the one exchange loop (scan, DEV lookup, challenge, respond,
+reassemble, verify); the CLI and the threat harness both go through it.
 """
 
 from __future__ import annotations
@@ -13,11 +16,11 @@ import enum
 from dataclasses import dataclass
 
 from . import crypto, transport
+from .device import RESPONSE_LEN, DeviceState
 from .errors import NoSuchSession, NotFound
 from .store import DeviceView
 
-RESPONSE_LEN = crypto.DIGEST_LEN + 2 * crypto.NONCE_LEN + crypto.SIGNATURE_LEN
-_SIGNED_LEN = crypto.DIGEST_LEN + 2 * crypto.NONCE_LEN
+_SIGNED_LEN = RESPONSE_LEN - crypto.SIGNATURE_LEN
 
 
 class StateCheck(enum.Enum):
@@ -57,6 +60,9 @@ def parse_verdict_line(line: str) -> TrustVerdict:
     if len(parts) != 5 or parts[0] != "VERDICT":
         raise ValueError("not a VERDICT line")
     fields = dict(p.split("=", 1) for p in parts[1:])
+    missing = {"uuid", "state", "gate", "reason"} - fields.keys()
+    if missing:
+        raise ValueError(f"VERDICT line lacks {', '.join(sorted(missing))}")
     return TrustVerdict(
         uuid=bytes.fromhex(fields["uuid"]),
         identity=None,
@@ -138,6 +144,41 @@ class Verifier:
                 f"state is registered but superseded (firmware {state_view.fw_meta!r})",
             )
         return verdict(StateCheck.VERIFIED_CURRENT, "ok", gate=True)
+
+
+def _receive(endpoint: transport.Endpoint) -> bytes:
+    """Drain an endpoint and reassemble the frames into one payload."""
+    frames = []
+    while (data := endpoint.recv()) is not None:
+        frames.append(transport.parse_data_frame(data))
+    return transport.reassemble(frames)[1]
+
+
+def run_exchange(store_view, device: DeviceState, rng, respond=None) -> TrustVerdict:
+    """One full exchange with a device over a fresh in-memory channel.
+
+    store_view is a Store or a StoreClient. `respond` replaces the device's
+    answer to the challenge (an attacker on the radio).
+    """
+    user = Verifier(rng)
+    channel = transport.Channel()
+    user_end, dev_end = channel.endpoint_a(), channel.endpoint_b()
+
+    uuid = scan(device.advertise())
+    try:
+        view = store_view.lookup_device(uuid)
+    except NotFound:
+        view = None
+
+    session, frames = user.issue_challenge(uuid)
+    for f in frames:
+        user_end.send(f)
+    challenge = _receive(dev_end)
+
+    payload = respond(challenge) if respond is not None else device.handle_challenge(challenge)
+    for f in transport.fragment(transport.MSG_RESPONSE, payload):
+        dev_end.send(transport.encode_data_frame(f))
+    return user.verify_response(session, _receive(user_end), view, store_view)
 
 
 def trust_decision(verdict: TrustVerdict, auto_accept: bool, prompt=None) -> bool:

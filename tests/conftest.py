@@ -6,7 +6,7 @@ import pytest
 
 from tlt import crypto, documents
 from tlt.device import DeviceState, device_birth
-from tlt.store import Store, init_store
+from tlt.store import Store
 
 
 @dataclass
@@ -30,7 +30,7 @@ def build_stack(seed: int = 1234, register_install: bool = True) -> Stack:
     rng = crypto.SeededRandomSource(seed)
     authority_pk, authority_sk = crypto.generate_keypair(rng)
     root = documents.make_root_certificate("Test Authority", authority_pk, authority_sk)
-    store = init_store(root)
+    store = Store(root)
 
     mfr_pk, mfr_sk = crypto.generate_keypair(rng)
     mcrt = documents.make_manufacturer_certificate("Acme Devices", mfr_pk, authority_sk, rng)

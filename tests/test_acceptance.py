@@ -14,7 +14,7 @@ from tlt import crypto, documents, transport
 from tlt.cli import main as cli_main
 from tlt.device import device_birth
 from tlt.errors import CorruptLog, MalformedDocument
-from tlt.store import init_store, load_store
+from tlt.store import Store, load_store
 from tlt.threats import SCENARIO_IDS, THREAT_CONTROL_MAP, run_all
 from tlt.verifier import StateCheck, Verifier, scan
 
@@ -32,7 +32,7 @@ def test_c1_end_to_end_happy_path():
     rng = crypto.SeededRandomSource(2024)
     authority_pk, authority_sk = crypto.generate_keypair(rng)
     root = documents.make_root_certificate("Acceptance Authority", authority_pk, authority_sk)
-    store = init_store(root)
+    store = Store(root)
 
     mfr_pk, mfr_sk = crypto.generate_keypair(rng)
     mcrt = documents.make_manufacturer_certificate("Acme Devices", mfr_pk, authority_sk, rng)

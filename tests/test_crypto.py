@@ -131,35 +131,6 @@ def test_digest_length_constant(size):
     assert len(crypto.digest(b"\xa5" * size)) == 32
 
 
-def test_extend_digest_is_hash_of_concatenation(rng):
-    for _ in range(50):
-        a, b = rng.bytes(20), rng.bytes(20)
-        prev = crypto.digest(a)
-        assert crypto.extend_digest(prev, b) == hashlib.sha256(prev + b).digest()
-
-
-def test_extend_digest_empty_data():
-    d = crypto.digest(b"seed")
-    assert crypto.extend_digest(d, b"") == hashlib.sha256(d).digest()
-
-
-def test_extend_digest_order_sensitive(rng):
-    x1, x2, x3 = (rng.bytes(16) for _ in range(3))
-
-    def fold(items):
-        acc = crypto.digest(items[0])
-        for item in items[1:]:
-            acc = crypto.extend_digest(acc, item)
-        return acc
-
-    assert fold([x1, x2, x3]) != fold([x2, x1, x3])
-
-
-def test_extend_digest_rejects_bad_length():
-    with pytest.raises(ValueError):
-        crypto.extend_digest(b"\x00" * 31, b"data")
-
-
 # ---------------------------------------------------------------------------
 # Randomness and UUIDs
 # ---------------------------------------------------------------------------

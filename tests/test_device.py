@@ -6,7 +6,6 @@ import pytest
 
 from tlt import crypto, documents, transport
 from tlt.device import BootStatus, device_birth, load_device, save_device
-from tlt.documents import Document
 from tlt.errors import (
     ChainInvalid,
     ImageMismatch,
@@ -62,47 +61,19 @@ def test_birth_rejects_mismatched_key(rng, stack):
 
 
 # ---------------------------------------------------------------------------
-# Digest memory
-# ---------------------------------------------------------------------------
-
-def test_remember_digest_stores_verified_document(stack):
-    fw2 = documents.sign_firmware(b"second image", "v2", stack.mfr_sk, stack.mcrt)
-    stack.dev.remember_digest(fw2, [stack.mcrt])
-    assert documents.doc_digest(fw2) in stack.dev.verified_digests
-
-
-def test_remember_digest_rejects_corrupted_document(stack):
-    fields = tuple(
-        (t, b"evil" if t == documents.FW_META else v) for t, v in stack.fw_doc.fields
-    )
-    corrupted = Document(stack.fw_doc.doc_type, fields, stack.fw_doc.signatures)
-    before = set(stack.dev.verified_digests)
-    with pytest.raises(ChainInvalid):
-        stack.dev.remember_digest(corrupted, [stack.mcrt])
-    assert stack.dev.verified_digests == before
-
-
-def test_remember_digest_idempotent(stack):
-    before = set(stack.dev.verified_digests)
-    stack.dev.remember_digest(stack.fw_doc, [stack.mcrt])
-    stack.dev.remember_digest(stack.fw_doc, [stack.mcrt])
-    assert stack.dev.verified_digests == before | {documents.doc_digest(stack.fw_doc)}
-
-
-def test_remember_digest_accepts_chain_with_explicit_root(stack):
-    stack.dev.remember_digest(stack.fw_doc, [stack.mcrt, stack.root])
-    assert documents.doc_digest(stack.fw_doc) in stack.dev.verified_digests
-
-
-# ---------------------------------------------------------------------------
 # Firmware installation
 # ---------------------------------------------------------------------------
 
 def test_install_happy_path(stack):
     inst, _ = stack.dev.fw_slot
-    assert documents.verify_installation(inst, stack.dcrt, stack.fw_doc)
+    assert documents.verify_chain([inst, stack.dcrt, stack.mcrt, stack.root], stack.root)
+    assert inst.field(documents.INST_FW_DOC_DIGEST) == documents.doc_digest(stack.fw_doc)
     assert stack.dev.boot_status == BootStatus.OPERATIONAL
     assert documents.doc_digest(stack.fw_doc) in stack.dev.verified_digests
+    # A chain that names the root also verifies; reinstalling remembers the digest once.
+    before = set(stack.dev.verified_digests)
+    stack.dev.install_firmware(stack.fw_doc, stack.fw_image, [stack.mcrt, stack.root], "slot=0")
+    assert stack.dev.verified_digests == before
 
 
 def test_install_rejects_impostor_manufacturer(rng, stack):
@@ -142,6 +113,7 @@ def test_no_unverified_installs(rng, stack):
         with pytest.raises((ChainInvalid, ImageMismatch)):
             dev.install_firmware(doc, stack.fw_image, [stack.mcrt], "slot=0")
         assert dev.fw_slot is None
+        assert dev.verified_digests == set()
 
 
 def test_reinstall_replaces_slot(stack):
@@ -341,5 +313,17 @@ def test_load_device_rejects_truncation(tmp_path, stack):
     crypto.save_secret_key(stack.dev.secret_key, tmp_path / "dev.tltkey")
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 3])
+    with pytest.raises(MalformedDocument):
+        load_device(path)
+
+
+def test_load_device_rejects_operational_without_firmware(tmp_path, stack, rng):
+    dev, _ = device_birth(stack.mcrt, stack.mfr_sk, stack.root, "bare", rng)
+    path = tmp_path / "dev.tltdev"
+    save_device(dev, path)
+    crypto.save_secret_key(dev.secret_key, tmp_path / "dev.tltkey")
+    blob = bytearray(path.read_bytes())
+    blob[5] = BootStatus.OPERATIONAL.value  # boot-status byte, with no firmware slot behind it
+    path.write_bytes(bytes(blob))
     with pytest.raises(MalformedDocument):
         load_device(path)

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlt import crypto, documents
+from tlt.device import device_birth
 from tlt.documents import Document
-from tlt.errors import ConstraintViolation, InvalidKey, MalformedDocument, NonCanonicalField
+from tlt.errors import ChainInvalid, ConstraintViolation, InvalidKey, MalformedDocument, NonCanonicalField
+from tlt.store import Store
 
 
 def _mutate(doc: Document, tag: int, value: bytes) -> Document:
@@ -242,18 +244,31 @@ def test_append_signature_covers_previous_signatures(stack, rng):
 # Installation verification and state digests
 # ---------------------------------------------------------------------------
 
+def _store_with_firmware(stack, fw_doc) -> Store:
+    """A store holding the stack's manufacturer and device plus one firmware document."""
+    store = Store(stack.root)
+    for kind, doc in (("manufacturer", stack.mcrt), ("device", stack.dcrt), ("firmware", fw_doc)):
+        store.register(kind, doc)
+    return store
+
+
 def test_verify_installation_end_to_end(stack):
-    assert documents.verify_installation(stack.inst, stack.dcrt, stack.fw_doc)
+    assert _store_with_firmware(stack, stack.fw_doc).register("installation", stack.inst) == 4
 
 
 def test_verify_installation_uuid_mismatch(stack, rng):
-    forged = _mutate(stack.inst, documents.INST_UUID, crypto.generate_uuid(rng))
-    assert not documents.verify_installation(forged, stack.dcrt, stack.fw_doc)
+    store = _store_with_firmware(stack, stack.fw_doc)
+    _, other_dcrt = device_birth(stack.mcrt, stack.mfr_sk, stack.root, "other", rng)
+    store.register("device", other_dcrt)
+    forged = _mutate(stack.inst, documents.INST_UUID, documents.subject_uuid(other_dcrt))
+    with pytest.raises(ChainInvalid):
+        store.register("installation", forged)
 
 
 def test_verify_installation_wrong_firmware(stack):
     other_fw = documents.sign_firmware(b"other image", "other v9", stack.mfr_sk, stack.mcrt)
-    assert not documents.verify_installation(stack.inst, stack.dcrt, other_fw)
+    with pytest.raises(ConstraintViolation):
+        _store_with_firmware(stack, other_fw).register("installation", stack.inst)
 
 
 def test_state_digest_matches_manual_concatenation(stack):

@@ -5,7 +5,7 @@ import socket
 import pytest
 
 from tlt import crypto, netstore
-from tlt.errors import NotFound
+from tlt.errors import NotFound, ParseError
 from tlt.netstore import StoreClient, StoreServer, handle_request_line
 from tlt.verifier import StateCheck, Verifier
 
@@ -104,3 +104,10 @@ def test_verifier_works_over_line_protocol(stack, rng):
         verdict = verifier.verify_response(session, response, view, client)
         assert verdict.state_check == StateCheck.VERIFIED_CURRENT
         assert verdict.gate
+
+
+def test_dev_payload_for_another_uuid_rejected(stack, rng):
+    """A server answering DEV for one UUID with another device's certificate."""
+    forged = netstore.encode_device_payload(stack.store.lookup_device(stack.dev.uuid))
+    with pytest.raises(ParseError):
+        netstore.decode_device_payload(forged, crypto.generate_uuid(rng))

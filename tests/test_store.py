@@ -13,7 +13,7 @@ from tlt.errors import (
     NotFound,
     UnknownIssuer,
 )
-from tlt.store import RecordKind, init_store, load_store
+from tlt.store import RecordKind, Store, load_store
 
 from conftest import build_stack
 
@@ -23,7 +23,7 @@ from conftest import build_stack
 # ---------------------------------------------------------------------------
 
 def test_init_and_empty_lookup(stack, rng):
-    st = init_store(stack.root)
+    st = Store(stack.root)
     with pytest.raises(NotFound):
         st.lookup_device(crypto.generate_uuid(rng))
 
@@ -34,11 +34,11 @@ def test_init_rejects_corrupted_root(stack):
     )
     corrupted = Document(stack.root.doc_type, fields, stack.root.signatures)
     with pytest.raises(ChainInvalid):
-        init_store(corrupted)
+        Store(corrupted)
 
 
 def test_empty_store_round_trip(tmp_path, stack):
-    st = init_store(stack.root)
+    st = Store(stack.root)
     path = tmp_path / "s.tltlog"
     st.persist(path)
     loaded = load_store(path)
@@ -51,19 +51,19 @@ def test_empty_store_round_trip(tmp_path, stack):
 # ---------------------------------------------------------------------------
 
 def test_register_manufacturer_then_device(stack, rng):
-    st = init_store(stack.root)
+    st = Store(stack.root)
     assert st.register("manufacturer", stack.mcrt) == 1
     assert st.register("device", stack.dcrt) == 2
 
 
 def test_register_device_under_unregistered_manufacturer(stack):
-    st = init_store(stack.root)
+    st = Store(stack.root)
     with pytest.raises(UnknownIssuer):
         st.register("device", stack.dcrt)
 
 
 def test_register_duplicate_uuid(stack):
-    st = init_store(stack.root)
+    st = Store(stack.root)
     st.register("manufacturer", stack.mcrt)
     st.register("device", stack.dcrt)
     with pytest.raises(DuplicateUuid):
@@ -71,7 +71,7 @@ def test_register_duplicate_uuid(stack):
 
 
 def test_register_rejects_kind_mismatch(stack):
-    st = init_store(stack.root)
+    st = Store(stack.root)
     with pytest.raises(ConstraintViolation):
         st.register("device", stack.mcrt)
     with pytest.raises(ConstraintViolation):
@@ -81,7 +81,7 @@ def test_register_rejects_kind_mismatch(stack):
 
 
 def test_register_rejects_tampered_document(stack):
-    st = init_store(stack.root)
+    st = Store(stack.root)
     fields = tuple(
         (t, b"Shady Acme" if t == documents.MFR_INFO else v) for t, v in stack.mcrt.fields
     )
@@ -91,20 +91,20 @@ def test_register_rejects_tampered_document(stack):
 
 
 def test_register_rejects_duplicate_manufacturer_id(stack):
-    st = init_store(stack.root)
+    st = Store(stack.root)
     st.register("manufacturer", stack.mcrt)
     with pytest.raises(ConstraintViolation):
         st.register("manufacturer", stack.mcrt)
 
 
 def test_register_firmware_requires_registered_manufacturer(stack):
-    st = init_store(stack.root)
+    st = Store(stack.root)
     with pytest.raises(UnknownIssuer):
         st.register("firmware", stack.fw_doc)
 
 
 def test_register_installation_requires_device_and_firmware(stack):
-    st = init_store(stack.root)
+    st = Store(stack.root)
     st.register("manufacturer", stack.mcrt)
     with pytest.raises(UnknownIssuer):
         st.register("installation", stack.inst)  # device unknown
@@ -116,7 +116,7 @@ def test_register_installation_requires_device_and_firmware(stack):
 
 
 def test_register_configuration_requires_installation(stack):
-    st = init_store(stack.root)
+    st = Store(stack.root)
     st.register("manufacturer", stack.mcrt)
     st.register("device", stack.dcrt)
     cfg = stack.dev.apply_configuration(b"early", 1)
@@ -133,25 +133,8 @@ def test_register_configuration_sequence_monotonic(stack):
         stack.store.register("configuration", cfg1)
 
 
-def test_register_with_explicit_chain(stack):
-    st = init_store(stack.root)
-    st.register("manufacturer", stack.mcrt, chain=[])
-    st.register("device", stack.dcrt, chain=[stack.mcrt])
-    st.register("firmware", stack.fw_doc, chain=[stack.mcrt, stack.root])
-    st.register("installation", stack.inst, chain=[stack.dcrt, stack.mcrt])
-
-
-def test_register_rejects_mismatched_chain(stack, rng):
-    st = init_store(stack.root)
-    st.register("manufacturer", stack.mcrt)
-    other_pk, other_sk = crypto.generate_keypair(rng)
-    other_mcrt = documents.make_manufacturer_certificate("Other", other_pk, stack.authority_sk, rng)
-    with pytest.raises(UnknownIssuer):
-        st.register("device", stack.dcrt, chain=[other_mcrt])
-
-
 def test_register_cross_manufacturer_device_rejected(stack, rng):
-    st = init_store(stack.root)
+    st = Store(stack.root)
     st.register("manufacturer", stack.mcrt)
     # second manufacturer registered, then used to sign a device claiming the first's id
     b_pk, b_sk = crypto.generate_keypair(rng)

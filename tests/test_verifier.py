@@ -242,3 +242,5 @@ def test_verdict_render_and_parse(stack, rng):
 def test_parse_verdict_rejects_garbage():
     with pytest.raises(ValueError):
         parse_verdict_line("nonsense line")
+    with pytest.raises(ValueError):
+        parse_verdict_line("VERDICT a=1 b=2 c=3 d=4")
