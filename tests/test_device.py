@@ -6,6 +6,7 @@ import pytest
 
 from tlt import crypto, documents, transport
 from tlt.device import BootStatus, device_birth, load_device, save_device
+from tlt.documents import Document
 from tlt.errors import (
     ChainInvalid,
     ImageMismatch,
@@ -61,6 +62,41 @@ def test_birth_rejects_mismatched_key(rng, stack):
 
 
 # ---------------------------------------------------------------------------
+# Digest memory: install_firmware remembers the digest of each verified document
+# ---------------------------------------------------------------------------
+
+def test_remember_digest_stores_verified_document(stack):
+    image2 = b"second image"
+    fw2 = documents.sign_firmware(image2, "v2", stack.mfr_sk, stack.mcrt)
+    stack.dev.install_firmware(fw2, image2, [stack.mcrt], "slot=1")
+    assert documents.doc_digest(fw2) in stack.dev.verified_digests
+
+
+def test_remember_digest_rejects_corrupted_document(stack):
+    fields = tuple(
+        (t, b"evil" if t == documents.FW_META else v) for t, v in stack.fw_doc.fields
+    )
+    corrupted = Document(stack.fw_doc.doc_type, fields, stack.fw_doc.signatures)
+    before = set(stack.dev.verified_digests)
+    with pytest.raises(ChainInvalid):
+        stack.dev.install_firmware(corrupted, stack.fw_image, [stack.mcrt], "slot=1")
+    assert stack.dev.verified_digests == before
+
+
+def test_remember_digest_idempotent(stack):
+    before = set(stack.dev.verified_digests)
+    stack.dev.install_firmware(stack.fw_doc, stack.fw_image, [stack.mcrt], "slot=0")
+    stack.dev.install_firmware(stack.fw_doc, stack.fw_image, [stack.mcrt], "slot=0")
+    assert stack.dev.verified_digests == before | {documents.doc_digest(stack.fw_doc)}
+
+
+def test_remember_digest_accepts_chain_with_explicit_root(rng, stack):
+    dev, _ = device_birth(stack.mcrt, stack.mfr_sk, stack.root, "fresh", rng)
+    dev.install_firmware(stack.fw_doc, stack.fw_image, [stack.mcrt, stack.root], "slot=0")
+    assert documents.doc_digest(stack.fw_doc) in dev.verified_digests
+
+
+# ---------------------------------------------------------------------------
 # Firmware installation
 # ---------------------------------------------------------------------------
 
@@ -70,10 +106,6 @@ def test_install_happy_path(stack):
     assert inst.field(documents.INST_FW_DOC_DIGEST) == documents.doc_digest(stack.fw_doc)
     assert stack.dev.boot_status == BootStatus.OPERATIONAL
     assert documents.doc_digest(stack.fw_doc) in stack.dev.verified_digests
-    # A chain that names the root also verifies; reinstalling remembers the digest once.
-    before = set(stack.dev.verified_digests)
-    stack.dev.install_firmware(stack.fw_doc, stack.fw_image, [stack.mcrt, stack.root], "slot=0")
-    assert stack.dev.verified_digests == before
 
 
 def test_install_rejects_impostor_manufacturer(rng, stack):
