@@ -285,19 +285,19 @@ def _cmd_store_dump(args) -> int:
     st = store_mod.load_store(_need_store(args))
     for rec in st.records:
         doc = rec.doc
-        if rec.kind == store_mod.RecordKind.ROOT:
+        if rec.kind == "root":
             detail = doc.field(documents.ROOT_INFO).decode(errors="replace")
-        elif rec.kind == store_mod.RecordKind.MANUFACTURER:
+        elif rec.kind == "manufacturer":
             detail = doc.field(documents.MFR_INFO).decode(errors="replace")
-        elif rec.kind == store_mod.RecordKind.DEVICE:
+        elif rec.kind == "device":
             detail = f"{documents.subject_uuid(doc).hex()} {doc.field(documents.DEV_INFO).decode(errors='replace')}"
-        elif rec.kind == store_mod.RecordKind.FIRMWARE:
+        elif rec.kind == "firmware":
             detail = doc.field(documents.FW_META).decode(errors="replace")
-        elif rec.kind == store_mod.RecordKind.INSTALLATION:
+        elif rec.kind == "installation":
             detail = documents.subject_uuid(doc).hex()
         else:
             detail = f"{documents.subject_uuid(doc).hex()} seq={documents.config_seq(doc)}"
-        print(f"{rec.seq}\t{rec.kind.value}\t{documents.doc_digest(doc).hex()[:16]}\t{detail}")
+        print(f"{rec.seq}\t{rec.kind}\t{documents.doc_digest(doc).hex()[:16]}\t{detail}")
     return 0
 
 

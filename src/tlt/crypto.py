@@ -195,9 +195,3 @@ def load_secret_key(path) -> SecretKey:
 def save_public_key(pk: PublicKey, path) -> None:
     Path(path).write_bytes(bytes([pk.suite_id]) + pk.data)
 
-
-def load_public_key(path) -> PublicKey:
-    raw = Path(path).read_bytes()
-    if len(raw) != 1 + PUBLIC_KEY_LEN:
-        raise InvalidKey(f"bad public key file length {len(raw)}")
-    return PublicKey(raw[0], raw[1:])

@@ -34,10 +34,6 @@ DOC_FIRMWARE = 0x04
 DOC_INSTALLATION = 0x05
 DOC_CONFIGURATION = 0x06
 
-KNOWN_DOC_TYPES = frozenset(
-    {DOC_ROOT, DOC_MANUFACTURER, DOC_DEVICE, DOC_FIRMWARE, DOC_INSTALLATION, DOC_CONFIGURATION}
-)
-
 DOC_TYPE_NAMES = {
     DOC_ROOT: "root",
     DOC_MANUFACTURER: "manufacturer",
@@ -149,7 +145,7 @@ def signing_payload(doc: Document, num_signatures: int) -> bytes:
 
 
 def _encode(doc: Document, num_signatures: int) -> bytes:
-    if doc.doc_type not in KNOWN_DOC_TYPES:
+    if doc.doc_type not in DOC_TYPE_NAMES:
         raise NonCanonicalField(f"unknown doc_type 0x{doc.doc_type:02x}")
     if len(doc.fields) > 0xFF:
         raise NonCanonicalField("too many fields")
@@ -180,7 +176,7 @@ def decode(data: bytes) -> Document:
     if len(data) < 2:
         raise MalformedDocument("truncated header")
     doc_type = data[0]
-    if doc_type not in KNOWN_DOC_TYPES:
+    if doc_type not in DOC_TYPE_NAMES:
         raise MalformedDocument(f"unknown doc_type 0x{doc_type:02x}")
     field_count = data[1]
     pos = 2

@@ -5,6 +5,8 @@ Requests (one per line, space-separated, hex arguments):
     DEV <uuid-hex>
     STATE <uuid-hex> <digest-hex>
 
+A line over MAX_REQUEST_LINE bytes, newline included, gets BADREQ and a hang-up.
+
 Responses:
 
     OK <hex payload>
@@ -30,6 +32,8 @@ from .errors import NotFound, ParseError, TltError
 from .store import DeviceView, StateView, Store
 
 _NO_REF = 0xFFFFFFFF
+# The longest valid request (STATE) is 104 bytes with its newline.
+MAX_REQUEST_LINE = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +115,17 @@ def handle_request_line(store: Store, line: str) -> str:
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
-        for raw in self.rfile:
+        while raw := self.rfile.readline(MAX_REQUEST_LINE + 1):
+            too_long = len(raw) > MAX_REQUEST_LINE
             line = raw.decode(errors="replace").rstrip("\r\n")
-            if not line:
+            if not line and not too_long:
                 continue
-            response = handle_request_line(self.server.tlt_store, line)
+            response = "ERR BADREQ" if too_long else handle_request_line(self.server.tlt_store, line)
             self.wfile.write((response + "\n").encode())
             self.wfile.flush()
             self.server.note_request()
+            if too_long:
+                return  # the rest of the line is never read
 
 
 class StoreServer(socketserver.ThreadingTCPServer):

@@ -6,18 +6,19 @@ index entries are recomputed by the store itself at admission time from the
 latest installation and configuration for a UUID, so the index is always
 derivable from the log.
 
-Log format (`.tltlog`): one record per line,
+Log format (`.tltlog`): one ASCII line per record, each ending in LF,
 
     <kind> <seq> <lowercase hex of canonical document bytes>
 
-Sequence numbers start at 0 (the root) and increase by one per record;
-records are never rewritten. Loading replays and revalidates every record
-and aborts with CorruptLog naming the offending sequence number.
+<kind> is the name of the document's type (documents.DOC_TYPE_NAMES) and must
+match its type byte. Sequence numbers are plain decimal, start at 0 (the root)
+and increase by one per record; records are never rewritten. Loading replays
+and revalidates every record and aborts with CorruptLog naming the offending
+sequence number.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,29 +36,12 @@ from .errors import (
 STORE_FILE_EXT = ".tltlog"
 
 
-class RecordKind(enum.Enum):
-    ROOT = "root"
-    MANUFACTURER = "manufacturer"
-    DEVICE = "device"
-    FIRMWARE = "firmware"
-    INSTALLATION = "installation"
-    CONFIGURATION = "configuration"
-
-
-_KIND_TO_DOC_TYPE = {
-    RecordKind.ROOT: documents.DOC_ROOT,
-    RecordKind.MANUFACTURER: documents.DOC_MANUFACTURER,
-    RecordKind.DEVICE: documents.DOC_DEVICE,
-    RecordKind.FIRMWARE: documents.DOC_FIRMWARE,
-    RecordKind.INSTALLATION: documents.DOC_INSTALLATION,
-    RecordKind.CONFIGURATION: documents.DOC_CONFIGURATION,
-}
-_KIND_BY_NAME = {k.value: k for k in RecordKind}
+_DOC_TYPE_BY_KIND = {name: doc_type for doc_type, name in documents.DOC_TYPE_NAMES.items()}
 
 
 @dataclass(frozen=True)
 class StoreRecord:
-    kind: RecordKind
+    kind: str  # the name of doc's type
     doc: Document
     seq: int
 
@@ -101,14 +85,6 @@ class StateView:
     cfg_ref: int | None = None
 
 
-@dataclass(frozen=True)
-class StateIndexEntry:
-    uuid: bytes
-    state_digest: bytes
-    inst_ref: int
-    cfg_ref: int | None
-
-
 class Store:
     """In-memory store over an append-only record log. Single writer."""
 
@@ -117,51 +93,51 @@ class Store:
         if not result:
             raise ChainInvalid(f"root does not self-verify: {result.reason}")
         self.root = root
-        self.records: list[StoreRecord] = [StoreRecord(RecordKind.ROOT, root, 0)]
+        self.records: list[StoreRecord] = [StoreRecord("root", root, 0)]
         self._mfrs: dict[bytes, int] = {}        # mfr_id -> seq
         self._devices: dict[bytes, int] = {}     # uuid -> seq
         self._firmware: dict[bytes, int] = {}    # doc digest -> seq
         self._latest_inst: dict[bytes, int] = {} # uuid -> seq
         self._latest_cfg: dict[bytes, int] = {}  # uuid -> seq
-        self._state_index: dict[tuple[bytes, bytes], StateIndexEntry] = {}
+        # (uuid, state digest) -> (inst_ref, cfg_ref)
+        self._state_index: dict[tuple[bytes, bytes], tuple[int, int | None]] = {}
         self._current_state: dict[bytes, bytes] = {}
 
     # -- registration ------------------------------------------------------
 
-    def register(self, kind: RecordKind | str, doc: Document) -> int:
+    def register(self, kind: str, doc: Document) -> int:
         """Admit a document after chain verification; returns its sequence.
 
-        Issuers are resolved from registered records, never supplied by the
-        caller.
+        kind must be the name of doc's type. Issuers are resolved from
+        registered records, never supplied by the caller.
         """
-        if isinstance(kind, str):
-            if kind not in _KIND_BY_NAME:
-                raise ConstraintViolation(f"unknown record kind {kind!r}")
-            kind = _KIND_BY_NAME[kind]
-        if kind == RecordKind.ROOT:
+        doc_type = _DOC_TYPE_BY_KIND.get(kind)
+        if doc_type is None:
+            raise ConstraintViolation(f"unknown record kind {kind!r}")
+        if doc_type == documents.DOC_ROOT:
             raise ConstraintViolation("the root is fixed at store creation")
-        if doc.doc_type != _KIND_TO_DOC_TYPE[kind]:
+        if doc.doc_type != doc_type:
             raise ConstraintViolation(
-                f"document type 0x{doc.doc_type:02x} does not match record kind {kind.value}"
+                f"document type 0x{doc.doc_type:02x} does not match record kind {kind}"
             )
 
-        intermediates = self._resolve_intermediates(kind, doc)
+        intermediates = self._resolve_intermediates(doc)
         result = documents.verify_chain([doc, *intermediates, self.root], self.root)
         if not result:
             if result.constraint:
                 raise ConstraintViolation(result.reason)
             raise ChainInvalid(result.reason)
 
-        self._check_admission_constraints(kind, doc)
+        self._check_admission_constraints(doc)
         seq = len(self.records)
         self.records.append(StoreRecord(kind, doc, seq))
-        self._index_record(kind, doc, seq)
+        self._index_record(doc, seq)
         return seq
 
-    def _resolve_intermediates(self, kind: RecordKind, doc: Document) -> list[Document]:
-        if kind == RecordKind.MANUFACTURER:
+    def _resolve_intermediates(self, doc: Document) -> list[Document]:
+        if doc.doc_type == documents.DOC_MANUFACTURER:
             return []
-        if kind in (RecordKind.DEVICE, RecordKind.FIRMWARE):
+        if doc.doc_type in (documents.DOC_DEVICE, documents.DOC_FIRMWARE):
             mfr_seq = self._mfrs.get(documents.issuer_id(doc))
             if mfr_seq is None:
                 raise UnknownIssuer("manufacturer is not registered")
@@ -176,17 +152,17 @@ class Store:
             raise UnknownIssuer("manufacturer is not registered")
         return [dcrt, self.records[mfr_seq].doc]
 
-    def _check_admission_constraints(self, kind: RecordKind, doc: Document) -> None:
-        if kind == RecordKind.MANUFACTURER:
+    def _check_admission_constraints(self, doc: Document) -> None:
+        if doc.doc_type == documents.DOC_MANUFACTURER:
             if doc.field(documents.MFR_ID) in self._mfrs:
                 raise ConstraintViolation("manufacturer id already registered")
-        elif kind == RecordKind.DEVICE:
+        elif doc.doc_type == documents.DOC_DEVICE:
             if documents.subject_uuid(doc) in self._devices:
                 raise DuplicateUuid("a device with this UUID is already registered")
-        elif kind == RecordKind.INSTALLATION:
+        elif doc.doc_type == documents.DOC_INSTALLATION:
             if doc.field(documents.INST_FW_DOC_DIGEST) not in self._firmware:
                 raise ConstraintViolation("installation references unregistered firmware")
-        elif kind == RecordKind.CONFIGURATION:
+        elif doc.doc_type == documents.DOC_CONFIGURATION:
             uuid = documents.subject_uuid(doc)
             if uuid not in self._latest_inst:
                 raise ConstraintViolation("no installation registered for this device")
@@ -197,17 +173,17 @@ class Store:
                     f"configuration sequence must exceed {latest_seq}"
                 )
 
-    def _index_record(self, kind: RecordKind, doc: Document, seq: int) -> None:
-        if kind == RecordKind.MANUFACTURER:
+    def _index_record(self, doc: Document, seq: int) -> None:
+        if doc.doc_type == documents.DOC_MANUFACTURER:
             self._mfrs[doc.field(documents.MFR_ID)] = seq
-        elif kind == RecordKind.DEVICE:
+        elif doc.doc_type == documents.DOC_DEVICE:
             self._devices[documents.subject_uuid(doc)] = seq
-        elif kind == RecordKind.FIRMWARE:
+        elif doc.doc_type == documents.DOC_FIRMWARE:
             self._firmware[documents.doc_digest(doc)] = seq
-        elif kind == RecordKind.INSTALLATION:
+        elif doc.doc_type == documents.DOC_INSTALLATION:
             self._latest_inst[documents.subject_uuid(doc)] = seq
             self._update_state_index(documents.subject_uuid(doc))
-        elif kind == RecordKind.CONFIGURATION:
+        elif doc.doc_type == documents.DOC_CONFIGURATION:
             self._latest_cfg[documents.subject_uuid(doc)] = seq
             self._update_state_index(documents.subject_uuid(doc))
 
@@ -217,7 +193,7 @@ class Store:
         inst_doc = self.records[inst_ref].doc
         cfg_doc = self.records[cfg_ref].doc if cfg_ref is not None else None
         digest = documents.state_digest(inst_doc, cfg_doc, uuid)
-        self._state_index[(uuid, digest)] = StateIndexEntry(uuid, digest, inst_ref, cfg_ref)
+        self._state_index[(uuid, digest)] = (inst_ref, cfg_ref)
         self._current_state[uuid] = digest
 
     # -- lookups -----------------------------------------------------------
@@ -231,15 +207,16 @@ class Store:
         return DeviceView.from_certificates(dcrt, mcrt)
 
     def lookup_state(self, uuid: bytes, state_digest: bytes) -> StateView:
-        entry = self._state_index.get((bytes(uuid), bytes(state_digest)))
-        if entry is None:
+        refs = self._state_index.get((bytes(uuid), bytes(state_digest)))
+        if refs is None:
             raise NotFound("no state entry for this digest")
-        inst_doc = self.records[entry.inst_ref].doc
+        inst_ref, cfg_ref = refs
+        inst_doc = self.records[inst_ref].doc
         fw_seq = self._firmware[inst_doc.field(documents.INST_FW_DOC_DIGEST)]
         fw_meta = self.records[fw_seq].doc.field(documents.FW_META).decode(errors="replace")
         cfg_seq = (
-            documents.config_seq(self.records[entry.cfg_ref].doc)
-            if entry.cfg_ref is not None
+            documents.config_seq(self.records[cfg_ref].doc)
+            if cfg_ref is not None
             else 0
         )
         return StateView(
@@ -248,8 +225,8 @@ class Store:
             fw_meta=fw_meta,
             cfg_seq=cfg_seq,
             current=self._current_state.get(bytes(uuid)) == bytes(state_digest),
-            inst_ref=entry.inst_ref,
-            cfg_ref=entry.cfg_ref,
+            inst_ref=inst_ref,
+            cfg_ref=cfg_ref,
         )
 
     def current_state_digest(self, uuid: bytes) -> bytes:
@@ -259,14 +236,11 @@ class Store:
             raise NotFound("no state registered for this device")
         return digest
 
-    def state_entries(self) -> list[StateIndexEntry]:
-        return list(self._state_index.values())
-
     # -- persistence -------------------------------------------------------
 
     def persist(self, path) -> None:
         lines = [
-            f"{rec.kind.value} {rec.seq} {documents.encode_canonical(rec.doc).hex()}"
+            f"{rec.kind} {rec.seq} {documents.encode_canonical(rec.doc).hex()}"
             for rec in self.records
         ]
         Path(path).write_text("\n".join(lines) + "\n")
@@ -274,23 +248,19 @@ class Store:
 
 def load_store(path) -> Store:
     """Replay and revalidate a record log; CorruptLog on any failure."""
-    text = Path(path).read_text()
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
+    lines = Path(path).read_bytes().split(b"\n")
+    if lines[-1] == b"":
         lines.pop()
     if not lines:
         raise CorruptLog("empty store log", seq=0)
 
     store: Store | None = None
     for i, line in enumerate(lines):
-        try:
-            kind_name, seq_text, hex_text = line.split(" ")
+        try:  # UnicodeDecodeError is a ValueError too
+            kind, seq_text, hex_text = line.decode("ascii").split(" ")
         except ValueError:
             raise CorruptLog(f"record {i}: malformed line", seq=i) from None
-        kind = _KIND_BY_NAME.get(kind_name)
-        if kind is None:
-            raise CorruptLog(f"record {i}: unknown kind {kind_name!r}", seq=i)
-        if not seq_text.isdigit() or int(seq_text) != i:
+        if seq_text != str(i):
             raise CorruptLog(f"record {i}: bad sequence number {seq_text!r}", seq=i)
         if not _is_lower_hex(hex_text):
             raise CorruptLog(f"record {i}: document bytes are not lowercase hex", seq=i)
@@ -300,7 +270,7 @@ def load_store(path) -> Store:
             raise CorruptLog(f"record {i}: {exc}", seq=i) from None
 
         if i == 0:
-            if kind != RecordKind.ROOT:
+            if kind != "root":
                 raise CorruptLog("record 0: log must begin with the root", seq=0)
             try:
                 store = Store(doc)

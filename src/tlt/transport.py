@@ -5,14 +5,12 @@ Frame layouts (sizes mirror BLE payload budgets):
     advertising frame, 19 bytes, hard cap 31:
         magic(1)=0x54  version(1)=0x01  flags(1)  uuid(16)
 
-    data frame, header 5 bytes, total <= 255 (extended: <= 1650):
+    data frame, header 5 bytes, total <= 255:
         msg_type(1)  frag_index(1)  frag_total(1)  payload_len(2, big-endian)
         payload
 
-Fragmented payloads are cut into 250-byte slices so each standard frame
-stays within 255 bytes. An extended frame shares the header and simply
-allows a larger payload; the `extended` flag is codec metadata, not a wire
-bit. The transport does not authenticate anything: corruption surfaces as a
+Payloads are cut into 250-byte slices so each frame stays within 255 bytes.
+The transport does not authenticate anything: corruption surfaces as a
 signature failure at the verifier.
 """
 
@@ -31,9 +29,7 @@ ADV_MAX = 31
 
 DATA_HEADER_LEN = 5
 DATA_MAX = 255
-EXTENDED_MAX = 1650
 FRAG_PAYLOAD = DATA_MAX - DATA_HEADER_LEN  # 250
-EXTENDED_PAYLOAD_MAX = EXTENDED_MAX - DATA_HEADER_LEN  # 1645
 MAX_FRAGMENTED_PAYLOAD = FRAG_PAYLOAD * 0xFF  # frag_total is one byte
 
 MSG_CHALLENGE = 0x01
@@ -94,7 +90,6 @@ class DataFrame:
     frag_index: int
     frag_total: int
     payload: bytes
-    extended: bool = False
 
     def __post_init__(self):
         if not 0 <= self.msg_type <= 0xFF:
@@ -103,9 +98,8 @@ class DataFrame:
             raise ParseError("frag_total must be 1..255")
         if not 0 <= self.frag_index < self.frag_total:
             raise ParseError("frag_index must be below frag_total")
-        limit = EXTENDED_PAYLOAD_MAX if self.extended else FRAG_PAYLOAD
-        if len(self.payload) > limit:
-            raise PayloadTooLarge(f"frame payload {len(self.payload)} exceeds {limit} bytes")
+        if len(self.payload) > FRAG_PAYLOAD:
+            raise PayloadTooLarge(f"frame payload {len(self.payload)} exceeds {FRAG_PAYLOAD} bytes")
 
 
 def encode_data_frame(frame: DataFrame) -> bytes:
@@ -114,7 +108,7 @@ def encode_data_frame(frame: DataFrame) -> bytes:
         + len(frame.payload).to_bytes(2, "big")
         + frame.payload
     )
-    assert len(out) <= (EXTENDED_MAX if frame.extended else DATA_MAX)
+    assert len(out) <= DATA_MAX
     return _traced("enc", out)
 
 
@@ -123,8 +117,8 @@ def parse_data_frame(data: bytes) -> DataFrame:
     _traced("dec", data)
     if len(data) < DATA_HEADER_LEN:
         raise ParseError("truncated data frame header")
-    if len(data) > EXTENDED_MAX:
-        raise ParseError(f"frame exceeds {EXTENDED_MAX} bytes")
+    if len(data) > DATA_MAX:
+        raise ParseError(f"frame exceeds {DATA_MAX} bytes")
     payload_len = int.from_bytes(data[3:5], "big")
     if DATA_HEADER_LEN + payload_len != len(data):
         raise ParseError("payload length does not match frame size")
@@ -136,23 +130,16 @@ def parse_data_frame(data: bytes) -> DataFrame:
         frag_index=frag_index,
         frag_total=frag_total,
         payload=data[5:],
-        extended=len(data) > DATA_MAX,
     )
 
 
-def fragment(msg_type: int, payload: bytes, extended: bool = False) -> list[DataFrame]:
-    """Split a payload into the minimal set of frames.
-
-    With extended=True a payload that fits a single 1650-byte frame is sent
-    whole; anything larger falls back to standard 250-byte fragmentation.
-    """
+def fragment(msg_type: int, payload: bytes) -> list[DataFrame]:
+    """Split a payload into the minimal set of 250-byte-payload frames."""
     payload = bytes(payload)
     if len(payload) > MAX_FRAGMENTED_PAYLOAD:
         raise PayloadTooLarge(
             f"payload {len(payload)} exceeds fragmentation limit {MAX_FRAGMENTED_PAYLOAD}"
         )
-    if extended and len(payload) <= EXTENDED_PAYLOAD_MAX:
-        return [DataFrame(msg_type, 0, 1, payload, extended=len(payload) > FRAG_PAYLOAD)]
     slices = [payload[i : i + FRAG_PAYLOAD] for i in range(0, len(payload), FRAG_PAYLOAD)] or [b""]
     total = len(slices)
     return [DataFrame(msg_type, i, total, part) for i, part in enumerate(slices)]

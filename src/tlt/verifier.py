@@ -85,9 +85,6 @@ class Verifier:
         self._sessions: dict[bytes, ChallengeSession] = {}
         self._counter = 0
 
-    def outstanding(self, uuid: bytes) -> ChallengeSession | None:
-        return self._sessions.get(bytes(uuid))
-
     def issue_challenge(self, uuid: bytes) -> tuple[ChallengeSession, list[bytes]]:
         """Fresh nonce for a device, framed for the data channel.
 

@@ -78,7 +78,7 @@ def test_decode_fuzz_never_crashes(rng):
 _field_values = st.binary(max_size=40)
 _doc_strategy = st.builds(
     Document,
-    st.sampled_from(sorted(documents.KNOWN_DOC_TYPES)),
+    st.sampled_from(sorted(documents.DOC_TYPE_NAMES)),
     st.lists(_field_values, max_size=6).map(
         lambda values: tuple((i + 1, v) for i, v in enumerate(values))
     ),

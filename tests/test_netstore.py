@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import socket
 
 import pytest
@@ -78,6 +79,19 @@ def test_server_handles_garbage_lines(stack):
     with StoreServer(stack.store, port=0) as server:
         assert _raw_query(server.address, "???") == "ERR BADREQ"
         assert _raw_query(server.address, "DEV zz zz zz") == "ERR BADREQ"
+
+
+def test_server_rejects_overlong_line(stack):
+    """A request with no newline in sight is answered and dropped, not buffered."""
+    with StoreServer(stack.store, port=0) as server:
+        with socket.create_connection(server.address, timeout=2) as sock:
+            sock.sendall(b"D" * 4096)
+            reply = sock.makefile("rb")
+            assert reply.readline() == b"ERR BADREQ\n"
+            with contextlib.suppress(ConnectionResetError):  # unread input may turn FIN into RST
+                assert reply.read() == b""
+        client = StoreClient(*server.address)
+        assert client.lookup_device(stack.dev.uuid) == stack.store.lookup_device(stack.dev.uuid)
 
 
 def test_server_max_requests_shuts_down(stack):

@@ -13,7 +13,7 @@ from tlt.errors import (
     NotFound,
     UnknownIssuer,
 )
-from tlt.store import RecordKind, Store, load_store
+from tlt.store import Store, load_store
 
 from conftest import build_stack
 
@@ -72,12 +72,15 @@ def test_register_duplicate_uuid(stack):
 
 def test_register_rejects_kind_mismatch(stack):
     st = Store(stack.root)
-    with pytest.raises(ConstraintViolation):
+    with pytest.raises(ConstraintViolation, match="^document type 0x02 does not match record kind device$"):
         st.register("device", stack.mcrt)
-    with pytest.raises(ConstraintViolation):
+    with pytest.raises(ConstraintViolation, match="^document type 0x02 does not match record kind firmware$"):
+        st.register("firmware", stack.mcrt)
+    with pytest.raises(ConstraintViolation, match="^the root is fixed at store creation$"):
         st.register("root", stack.root)
-    with pytest.raises(ConstraintViolation):
+    with pytest.raises(ConstraintViolation, match="^unknown record kind 'nonsense'$"):
         st.register("nonsense", stack.mcrt)
+    assert len(st.records) == 1
 
 
 def test_register_rejects_tampered_document(stack):
@@ -215,11 +218,11 @@ def test_state_entry_tracks_configuration(stack):
 def test_admission_soundness_every_record_reverifies(stack):
     st = stack.store
     for rec in st.records:
-        if rec.kind == RecordKind.ROOT:
+        if rec.kind == "root":
             assert documents.verify_chain([rec.doc], st.root)
-        elif rec.kind == RecordKind.MANUFACTURER:
+        elif rec.kind == "manufacturer":
             assert documents.verify_chain([rec.doc, st.root], st.root)
-        elif rec.kind in (RecordKind.DEVICE, RecordKind.FIRMWARE):
+        elif rec.kind in ("device", "firmware"):
             mcrt = st.records[1].doc
             assert documents.verify_chain([rec.doc, mcrt, st.root], st.root)
         else:
@@ -228,13 +231,17 @@ def test_admission_soundness_every_record_reverifies(stack):
 
 
 def test_index_consistency(stack):
+    uuid = stack.dev.uuid
+    digests = [stack.dev.compute_state_digest()]
     cfg = stack.dev.apply_configuration(b"indexed", 1)
     stack.store.register("configuration", cfg)
-    for entry in stack.store.state_entries():
-        inst_doc = stack.store.records[entry.inst_ref].doc
-        cfg_doc = stack.store.records[entry.cfg_ref].doc if entry.cfg_ref is not None else None
-        recomputed = documents.state_digest(inst_doc, cfg_doc, entry.uuid)
-        assert recomputed == entry.state_digest
+    digests.append(stack.dev.compute_state_digest())
+    for digest in digests:
+        view = stack.store.lookup_state(uuid, digest)
+        inst_doc = stack.store.records[view.inst_ref].doc
+        cfg_doc = stack.store.records[view.cfg_ref].doc if view.cfg_ref is not None else None
+        recomputed = documents.state_digest(inst_doc, cfg_doc, uuid)
+        assert recomputed == digest
 
 
 def test_monotone_sequence_numbers(stack):
@@ -283,8 +290,8 @@ def test_log_format_is_hex_lines(tmp_path):
     for i, line in enumerate(path.read_text().splitlines()):
         kind, seq, hexpart = line.split(" ")
         assert int(seq) == i
-        assert kind in {k.value for k in RecordKind}
-        bytes.fromhex(hexpart)
+        doc = documents.decode(bytes.fromhex(hexpart))
+        assert kind == documents.DOC_TYPE_NAMES[doc.doc_type]
         assert hexpart == hexpart.lower()
 
 
@@ -335,3 +342,46 @@ def test_load_rejects_uppercase_hex(tmp_path):
     with pytest.raises(CorruptLog) as exc_info:
         load_store(bad)
     assert exc_info.value.seq == 2
+
+
+def test_load_rejects_kind_that_does_not_name_the_document(tmp_path):
+    _, _, path = _populated_store(tmp_path)
+    lines = path.read_text().splitlines()
+    for seq, kind in ((1, "firmware"), (1, "root"), (3, "root"), (2, "nonsense")):
+        edited = list(lines)
+        edited[seq] = kind + edited[seq][edited[seq].index(" ") :]
+        bad = tmp_path / "badkind.tltlog"
+        bad.write_text("\n".join(edited) + "\n")
+        with pytest.raises(CorruptLog) as exc_info:
+            load_store(bad)
+        assert exc_info.value.seq == seq, kind
+
+
+def test_load_rejects_non_ascii_and_non_canonical_lines(tmp_path, stack):
+    st = Store(stack.root)
+    st.register("manufacturer", stack.mcrt)
+    path = tmp_path / "two.tltlog"
+    st.persist(path)
+    blob = path.read_bytes()
+    root_end = blob.index(b"\n")  # the newline belongs to the record it ends
+    bad = tmp_path / "bad.tltlog"
+    for pos in range(len(blob)):
+        flipped = bytearray(blob)
+        flipped[pos] ^= 0x80
+        bad.write_bytes(bytes(flipped))
+        with pytest.raises(CorruptLog) as exc_info:
+            load_store(bad)
+        assert exc_info.value.seq == (0 if pos <= root_end else 1), pos
+
+    lines = blob.decode().splitlines()
+    for seq_text in ("01", "\u00b2", "\u0661"):  # leading zero, superscript two, Arabic-Indic one
+        kind, _, hexpart = lines[1].split(" ")
+        bad.write_bytes(f"{lines[0]}\n{kind} {seq_text} {hexpart}\n".encode())
+        with pytest.raises(CorruptLog) as exc_info:
+            load_store(bad)
+        assert exc_info.value.seq == 1, seq_text
+
+    bad.write_bytes(blob.replace(b"\n", b"\r\n"))
+    with pytest.raises(CorruptLog) as exc_info:
+        load_store(bad)
+    assert exc_info.value.seq == 0

@@ -80,19 +80,6 @@ def test_empty_payload_single_frame():
     assert int.from_bytes(encoded[3:5], "big") == 0
 
 
-def test_extended_flag_allows_single_large_frame(rng):
-    payload = rng.bytes(1645)
-    frames = transport.fragment(transport.MSG_FRAGMENT, payload, extended=True)
-    assert len(frames) == 1
-    assert len(transport.encode_data_frame(frames[0])) == 1650 <= transport.EXTENDED_MAX
-
-
-def test_extended_overflow_falls_back_to_fragmentation(rng):
-    payload = rng.bytes(1646)
-    frames = transport.fragment(transport.MSG_FRAGMENT, payload, extended=True)
-    assert len(frames) == math.ceil(1646 / 250)
-
-
 def test_payload_too_large(rng):
     transport.fragment(transport.MSG_FRAGMENT, b"\x00" * transport.MAX_FRAGMENTED_PAYLOAD)
     with pytest.raises(PayloadTooLarge):
@@ -160,9 +147,10 @@ def test_parse_data_frame_rejects_truncated_header():
 
 
 def test_parse_data_frame_rejects_oversize():
-    blob = bytes([0x01, 0, 1]) + (1651 - 5).to_bytes(2, "big") + b"\x00" * (1651 - 5)
-    with pytest.raises(ParseError):
-        transport.parse_data_frame(blob)
+    for size in (transport.DATA_MAX + 1, 1651):
+        blob = bytes([0x01, 0, 1]) + (size - 5).to_bytes(2, "big") + b"\x00" * (size - 5)
+        with pytest.raises(ParseError):
+            transport.parse_data_frame(blob)
 
 
 def test_parse_data_frame_rejects_bad_counters(rng):
@@ -180,8 +168,6 @@ def test_parse_data_frame_rejects_bad_counters(rng):
 def test_data_frame_payload_cap():
     with pytest.raises(PayloadTooLarge):
         transport.DataFrame(0x01, 0, 1, b"\x00" * 251)
-    with pytest.raises(PayloadTooLarge):
-        transport.DataFrame(0x01, 0, 1, b"\x00" * 1646, extended=True)
 
 
 # ---------------------------------------------------------------------------

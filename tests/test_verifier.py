@@ -66,11 +66,12 @@ def test_one_outstanding_challenge_per_uuid(stack, rng):
     v = Verifier(rng)
     s1, _ = v.issue_challenge(stack.dev.uuid)
     s2, _ = v.issue_challenge(stack.dev.uuid)
-    assert v.outstanding(stack.dev.uuid) == s2
-    response = stack.dev.handle_challenge(s1.challenge)
     view = stack.store.lookup_device(stack.dev.uuid)
     with pytest.raises(NoSuchSession):
-        v.verify_response(s1, response, view, stack.store)
+        v.verify_response(s1, stack.dev.handle_challenge(s1.challenge), view, stack.store)
+    verdict = v.verify_response(s2, stack.dev.handle_challenge(s2.challenge), view, stack.store)
+    assert verdict.state_check == StateCheck.VERIFIED_CURRENT
+    assert verdict.gate
 
 
 # ---------------------------------------------------------------------------
