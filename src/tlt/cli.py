@@ -10,7 +10,7 @@ Subcommands:
     tlt device configure    apply a configuration to a device
     tlt device advertise    print the device's advertising frame
     tlt device respond      answer a challenge with a signed attestation
-    tlt store serve         serve read-only lookups over the line protocol
+    tlt store serve         serve read-only lookups until interrupted (Ctrl-C)
     tlt store dump          print a human-readable record summary
     tlt verify scan         extract a UUID from an advertising frame
     tlt verify challenge    one exchange with a device (verifier.run_exchange)
@@ -116,13 +116,10 @@ def build_parser() -> _Parser:
 
     st = sub.add_parser("store", help="trust store operations")
     ssub = st.add_subparsers(dest="command", metavar="CMD")
-    serve = ssub.add_parser("serve", help="serve DEV/STATE lookups over TCP")
+    serve = ssub.add_parser("serve", help="serve DEV/STATE lookups over TCP until interrupted")
     _add_store_arg(serve)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7345)
-    serve.add_argument(
-        "--max-requests", type=int, default=0, help="stop after N requests (0 = run until interrupted)"
-    )
     dump = ssub.add_parser("dump", help="print a summary of every record")
     _add_store_arg(dump)
 
@@ -266,18 +263,15 @@ def _cmd_device_respond(args) -> int:
 
 def _cmd_store_serve(args) -> int:
     st = store_mod.load_store(_need_store(args))
-    server = netstore.StoreServer(st, args.host, args.port, max_requests=args.max_requests)
+    server = netstore.StoreServer(st, args.host, args.port)
     host, port = server.address
     print(f"serving {args.store} on {host}:{port}", flush=True)
-    with server:
-        try:
-            if args.max_requests:
-                server.done.wait()
-            else:
-                while True:
-                    server.done.wait(3600)
-        except KeyboardInterrupt:
-            pass
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        server.server_close()
     return 0
 
 

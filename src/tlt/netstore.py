@@ -6,6 +6,9 @@ Requests (one per line, space-separated, hex arguments):
     STATE <uuid-hex> <digest-hex>
 
 A line over MAX_REQUEST_LINE bytes, newline included, gets BADREQ and a hang-up.
+A connection that sends nothing for IDLE_TIMEOUT seconds is closed without a
+reply. The client rejects a response line over MAX_RESPONSE_LINE bytes,
+newline included, instead of buffering it.
 
 Responses:
 
@@ -34,6 +37,11 @@ from .store import DeviceView, StateView, Store
 _NO_REF = 0xFFFFFFFF
 # The longest valid request (STATE) is 104 bytes with its newline.
 MAX_REQUEST_LINE = 1024
+# Certificate info strings are user text, so a DEV answer has no fixed size;
+# the test fixtures' DEV answer is 710 bytes with its newline.
+MAX_RESPONSE_LINE = 65536
+# Twice StoreClient's default timeout: a connection silent this long is dropped.
+IDLE_TIMEOUT = 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -115,44 +123,40 @@ def handle_request_line(store: Store, line: str) -> str:
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
-        while raw := self.rfile.readline(MAX_REQUEST_LINE + 1):
-            too_long = len(raw) > MAX_REQUEST_LINE
-            line = raw.decode(errors="replace").rstrip("\r\n")
-            if not line and not too_long:
-                continue
-            response = "ERR BADREQ" if too_long else handle_request_line(self.server.tlt_store, line)
-            self.wfile.write((response + "\n").encode())
-            self.wfile.flush()
-            self.server.note_request()
-            if too_long:
-                return  # the rest of the line is never read
+        self.connection.settimeout(IDLE_TIMEOUT)
+        try:
+            while raw := self.rfile.readline(MAX_REQUEST_LINE + 1):
+                too_long = len(raw) > MAX_REQUEST_LINE
+                line = raw.decode(errors="replace").rstrip("\r\n")
+                if not line and not too_long:
+                    continue
+                response = "ERR BADREQ" if too_long else handle_request_line(self.server.tlt_store, line)
+                self.wfile.write((response + "\n").encode())
+                self.wfile.flush()
+                if too_long:
+                    return  # the rest of the line is never read
+        except TimeoutError:
+            return  # an idle client is dropped; the server closes the socket after handle()
 
 
 class StoreServer(socketserver.ThreadingTCPServer):
-    """Serves read-only queries for one store; run via start()/stop()."""
+    """Serves read-only queries for one store.
+
+    serve_forever() serves on the calling thread; start()/stop() (or the
+    context manager) serve on a background thread instead.
+    """
 
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, store: Store, host: str = "127.0.0.1", port: int = 0, max_requests: int = 0):
+    def __init__(self, store: Store, host: str = "127.0.0.1", port: int = 0):
         super().__init__((host, port), _Handler)
         self.tlt_store = store
-        self.max_requests = max_requests
-        self._served = 0
-        self._lock = threading.Lock()
         self._thread: threading.Thread | None = None
-        self.done = threading.Event()
 
     @property
     def address(self) -> tuple[str, int]:
         return self.server_address[0], self.server_address[1]
-
-    def note_request(self) -> None:
-        with self._lock:
-            self._served += 1
-            if self.max_requests and self._served >= self.max_requests:
-                self.done.set()
-                threading.Thread(target=self.shutdown, daemon=True).start()
 
     def start(self) -> None:
         self._thread = threading.Thread(target=self.serve_forever, daemon=True)
@@ -190,13 +194,11 @@ class StoreClient:
     def _query(self, request: str) -> str:
         with socket.create_connection(self._addr, timeout=self._timeout) as sock:
             sock.sendall((request + "\n").encode())
-            buf = b""
-            while not buf.endswith(b"\n"):
-                chunk = sock.recv(4096)
-                if not chunk:
-                    break
-                buf += chunk
-        return buf.decode(errors="replace").rstrip("\r\n")
+            with sock.makefile("rb") as reply:
+                raw = reply.readline(MAX_RESPONSE_LINE + 1)
+        if len(raw) > MAX_RESPONSE_LINE:
+            raise TltError("store response too long")
+        return raw.decode(errors="replace").rstrip("\r\n")
 
     def _payload(self, request: str) -> bytes:
         response = self._query(request)

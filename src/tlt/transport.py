@@ -1,4 +1,4 @@
-"""Constrained-radio framing with fragmentation and an in-memory channel.
+"""Constrained-radio framing and fragmentation.
 
 Frame layouts (sizes mirror BLE payload budgets):
 
@@ -10,13 +10,14 @@ Frame layouts (sizes mirror BLE payload budgets):
         payload
 
 Payloads are cut into 250-byte slices so each frame stays within 255 bytes.
-The transport does not authenticate anything: corruption surfaces as a
-signature failure at the verifier.
+The radio itself is not modelled: verifier.run_exchange hands each list of
+encoded frames straight to the receiving side. The transport does not
+authenticate anything: corruption surfaces as a signature failure at the
+verifier.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from . import crypto
@@ -164,54 +165,3 @@ def reassemble(frames) -> tuple[int, bytes]:
     if missing:
         raise MissingFragment(f"missing fragment(s) {missing}")
     return msg_type, b"".join(by_index[i].payload for i in range(total))
-
-
-# ---------------------------------------------------------------------------
-# In-memory channel (test double for the radio)
-# ---------------------------------------------------------------------------
-
-class Endpoint:
-    """One side of a channel; single producer and single consumer."""
-
-    def __init__(self, outgoing: deque, incoming: deque, channel: "Channel", direction: str):
-        self._out = outgoing
-        self._in = incoming
-        self._channel = channel
-        self._direction = direction
-
-    def send(self, frame_bytes: bytes) -> None:
-        data = self._channel._apply_fault(self._direction, bytes(frame_bytes))
-        if data is not None:
-            self._out.append(data)
-
-    def recv(self) -> bytes | None:
-        """Next frame, or None when the queue is empty."""
-        return self._in.popleft() if self._in else None
-
-
-class Channel:
-    """Bidirectional in-memory frame queue with optional fault injectors.
-
-    A fault injector is callable(frame_bytes) returning replacement bytes or
-    None to drop the frame. Ordering is preserved when no faults fire.
-    """
-
-    def __init__(self):
-        self._a_to_b: deque = deque()
-        self._b_to_a: deque = deque()
-        self._faults = {"a2b": None, "b2a": None}
-
-    def endpoint_a(self) -> Endpoint:
-        return Endpoint(self._a_to_b, self._b_to_a, self, "a2b")
-
-    def endpoint_b(self) -> Endpoint:
-        return Endpoint(self._b_to_a, self._a_to_b, self, "b2a")
-
-    def set_fault(self, direction: str, injector) -> None:
-        if direction not in self._faults:
-            raise ValueError("direction must be 'a2b' or 'b2a'")
-        self._faults[direction] = injector
-
-    def _apply_fault(self, direction: str, data: bytes) -> bytes | None:
-        injector = self._faults[direction]
-        return data if injector is None else injector(data)

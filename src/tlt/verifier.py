@@ -143,23 +143,19 @@ class Verifier:
         return verdict(StateCheck.VERIFIED_CURRENT, "ok", gate=True)
 
 
-def _receive(endpoint: transport.Endpoint) -> bytes:
-    """Drain an endpoint and reassemble the frames into one payload."""
-    frames = []
-    while (data := endpoint.recv()) is not None:
-        frames.append(transport.parse_data_frame(data))
-    return transport.reassemble(frames)[1]
+def _receive(frames: list[bytes]) -> bytes:
+    """Parse received data frames and reassemble them into one payload."""
+    return transport.reassemble([transport.parse_data_frame(f) for f in frames])[1]
 
 
 def run_exchange(store_view, device: DeviceState, rng, respond=None) -> TrustVerdict:
-    """One full exchange with a device over a fresh in-memory channel.
+    """One full exchange with a device.
 
-    store_view is a Store or a StoreClient. `respond` replaces the device's
-    answer to the challenge (an attacker on the radio).
+    Each side's encoded frames go straight to the other side's parser; no
+    radio is modelled. store_view is a Store or a StoreClient. `respond`
+    replaces the device's answer to the challenge (an attacker on the radio).
     """
     user = Verifier(rng)
-    channel = transport.Channel()
-    user_end, dev_end = channel.endpoint_a(), channel.endpoint_b()
 
     uuid = scan(device.advertise())
     try:
@@ -168,14 +164,11 @@ def run_exchange(store_view, device: DeviceState, rng, respond=None) -> TrustVer
         view = None
 
     session, frames = user.issue_challenge(uuid)
-    for f in frames:
-        user_end.send(f)
-    challenge = _receive(dev_end)
+    challenge = _receive(frames)
 
     payload = respond(challenge) if respond is not None else device.handle_challenge(challenge)
-    for f in transport.fragment(transport.MSG_RESPONSE, payload):
-        dev_end.send(transport.encode_data_frame(f))
-    return user.verify_response(session, _receive(user_end), view, store_view)
+    frames = [transport.encode_data_frame(f) for f in transport.fragment(transport.MSG_RESPONSE, payload)]
+    return user.verify_response(session, _receive(frames), view, store_view)
 
 
 def trust_decision(verdict: TrustVerdict, auto_accept: bool, prompt=None) -> bool:

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
-import socket
-import threading
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,8 @@ from tlt.cli import main
 from tlt.device import load_device
 from tlt.netstore import StoreClient
 from tlt.store import load_store
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -128,44 +133,31 @@ def test_verify_decide(workspace, capsys, monkeypatch):
 
 def test_serve_and_remote_challenge(workspace, capsys):
     _provision(workspace, capsys)
-    port = _free_port()
-    server = threading.Thread(
-        target=main,
-        args=(["store", "serve", "--store", "s.tltlog", "--port", str(port), "--max-requests", "3"],),
-        daemon=True,
-    )
-    server.start()
-    _wait_for_port(port)
-
-    dev = load_device(workspace / "dev.tltdev")
-    client = StoreClient("127.0.0.1", port)
-    view = client.lookup_device(dev.uuid)
-    assert view.dinf == "smart lock"
-
-    assert main(["verify", "challenge", "--connect", f"127.0.0.1:{port}",
-                 "--device", "dev.tltdev", "--auto-accept"]) == 0
-    out = capsys.readouterr().out
-    assert "gate=1" in out
-    server.join(timeout=10)
-    assert not server.is_alive()
-
-
-def _free_port() -> int:
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
-
-
-def _wait_for_port(port, tries=100):
-    import time
-
-    for _ in range(tries):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "tlt.cli", "store", "serve", "--store", "s.tltlog", "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as server:
         try:
-            with socket.create_connection(("127.0.0.1", port), timeout=0.2):
-                return
-        except OSError:
-            time.sleep(0.05)
-    raise RuntimeError("server did not come up")
+            banner = server.stdout.readline().decode()
+            assert banner.startswith("serving s.tltlog on 127.0.0.1:")
+            port = int(banner.rsplit(":", 1)[1])
+
+            dev = load_device(workspace / "dev.tltdev")
+            view = StoreClient("127.0.0.1", port).lookup_device(dev.uuid)
+            assert view.dinf == "smart lock"
+
+            assert main(["verify", "challenge", "--connect", f"127.0.0.1:{port}",
+                         "--device", "dev.tltdev", "--auto-accept"]) == 0
+            assert "gate=1" in capsys.readouterr().out
+
+            server.send_signal(signal.SIGINT)  # `store serve` runs until interrupted
+            _, err = server.communicate(timeout=10)
+        finally:
+            server.kill()
+    assert server.returncode == 0
+    assert err == b""
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import contextlib
 import socket
+import threading
+import time
 
 import pytest
 
 from tlt import crypto, netstore
-from tlt.errors import NotFound, ParseError
+from tlt.errors import NotFound, ParseError, TltError
 from tlt.netstore import StoreClient, StoreServer, handle_request_line
 from tlt.verifier import StateCheck, Verifier
 
@@ -94,16 +96,43 @@ def test_server_rejects_overlong_line(stack):
         assert client.lookup_device(stack.dev.uuid) == stack.store.lookup_device(stack.dev.uuid)
 
 
-def test_server_max_requests_shuts_down(stack):
-    server = StoreServer(stack.store, port=0, max_requests=2)
-    server.start()
+def test_server_drops_idle_connection(stack, monkeypatch, capfd):
+    """A client that connects and says nothing does not hold a server thread."""
+    monkeypatch.setattr(netstore, "IDLE_TIMEOUT", 0.2)
+    with StoreServer(stack.store, port=0) as server:
+        with socket.create_connection(server.address, timeout=2) as sock:
+            assert sock.recv(1) == b""
+        client = StoreClient(*server.address)
+        assert client.lookup_device(stack.dev.uuid) == stack.store.lookup_device(stack.dev.uuid)
+    assert capfd.readouterr().err == ""
+
+
+def test_client_rejects_overlong_response(stack):
+    """A server that never ends its line is cut off, not buffered."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    done = threading.Event()
+
+    def serve_one():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rb") as request:
+            request.readline()
+            conn.sendall(b"O" * 65_537)  # one byte over the cap, no newline
+            done.wait(5)
+
+    stand_in = threading.Thread(target=serve_one, daemon=True)
+    stand_in.start()
     try:
-        addr = server.address
-        _raw_query(addr, f"DEV {stack.dev.uuid.hex()}")
-        _raw_query(addr, f"DEV {stack.dev.uuid.hex()}")
-        assert server.done.wait(timeout=5)
+        client = StoreClient(*listener.getsockname())
+        start = time.monotonic()
+        with pytest.raises(TltError) as excinfo:
+            client.lookup_device(stack.dev.uuid)
+        assert time.monotonic() - start < 2
+        assert len(str(excinfo.value)) < 200
     finally:
-        server.stop()
+        done.set()
+        stand_in.join(timeout=5)
+        listener.close()
+    assert not stand_in.is_alive()
 
 
 def test_verifier_works_over_line_protocol(stack, rng):

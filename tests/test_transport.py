@@ -168,45 +168,3 @@ def test_parse_data_frame_rejects_bad_counters(rng):
 def test_data_frame_payload_cap():
     with pytest.raises(PayloadTooLarge):
         transport.DataFrame(0x01, 0, 1, b"\x00" * 251)
-
-
-# ---------------------------------------------------------------------------
-# Channel
-# ---------------------------------------------------------------------------
-
-def test_channel_preserves_order(rng):
-    ch = transport.Channel()
-    a, b = ch.endpoint_a(), ch.endpoint_b()
-    frames = [rng.bytes(20) for _ in range(5)]
-    for f in frames:
-        a.send(f)
-    assert [b.recv() for f in frames] == frames
-    assert b.recv() is None
-
-
-def test_channel_drop_injector(rng):
-    ch = transport.Channel()
-    ch.set_fault("a2b", lambda data: None)
-    a, b = ch.endpoint_a(), ch.endpoint_b()
-    a.send(rng.bytes(10))
-    assert b.recv() is None
-
-
-def test_channel_corrupt_injector(rng):
-    ch = transport.Channel()
-    ch.set_fault("b2a", lambda data: bytes([data[0] ^ 0xFF]) + data[1:])
-    a, b = ch.endpoint_a(), ch.endpoint_b()
-    original = rng.bytes(10)
-    b.send(original)
-    received = a.recv()
-    assert received != original
-    assert received[1:] == original[1:]
-
-
-def test_channel_directions_independent(rng):
-    ch = transport.Channel()
-    ch.set_fault("a2b", lambda data: None)
-    a, b = ch.endpoint_a(), ch.endpoint_b()
-    payload = rng.bytes(8)
-    b.send(payload)
-    assert a.recv() == payload
