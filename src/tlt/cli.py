@@ -55,6 +55,15 @@ def _need_store(args) -> Path:
     return Path(args.store)
 
 
+def _register(store_path, kind: str, doc, st=None) -> int:
+    """Admit doc into the store at store_path (st when already loaded) and persist it."""
+    if st is None:
+        st = store_mod.load_store(store_path)
+    seq = st.register(kind, doc)
+    st.persist(store_path)
+    return seq
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="tlt", description="Touch-less trust tooling for IoT devices")
     p.add_argument("--seed", type=int, help="deterministic randomness seed")
@@ -164,12 +173,10 @@ def _cmd_authority_init(args) -> int:
 
 def _cmd_mfr_register(args) -> int:
     store_path = _need_store(args)
-    st = store_mod.load_store(store_path)
     authority_sk = crypto.load_secret_key(args.authority_key)
     pk, sk = crypto.generate_keypair(args.rng)
     mcrt = documents.make_manufacturer_certificate(args.info, pk, authority_sk, args.rng)
-    seq = st.register("manufacturer", mcrt)
-    st.persist(store_path)
+    seq = _register(store_path, "manufacturer", mcrt)
     crypto.save_secret_key(sk, args.key)
     cert_out = Path(args.cert_out) if args.cert_out else Path(args.key).with_suffix(documents.DOC_FILE_EXT)
     documents.save_document(mcrt, cert_out)
@@ -186,9 +193,7 @@ def _cmd_mfr_sign_fw(args) -> int:
     fw_doc = documents.sign_firmware(image, args.meta, sk, mcrt)
     documents.save_document(fw_doc, args.out)
     if args.store:
-        st = store_mod.load_store(args.store)
-        st.register("firmware", fw_doc)
-        st.persist(args.store)
+        _register(args.store, "firmware", fw_doc)
     print(f"fw_doc={documents.doc_digest(fw_doc).hex()}")
     return 0
 
@@ -199,8 +204,7 @@ def _cmd_device_birth(args) -> int:
     mfr_sk = crypto.load_secret_key(args.mfr_key)
     mcrt = documents.load_document(args.mfr_cert)
     dev, dcrt = device_mod.device_birth(mcrt, mfr_sk, st.root, args.info, args.rng)
-    st.register("device", dcrt)
-    st.persist(store_path)
+    _register(store_path, "device", dcrt, st)
     out = Path(args.out)
     device_mod.save_device(dev, out)
     crypto.save_secret_key(dev.secret_key, out.with_suffix(crypto.SECRET_KEY_EXT))
@@ -220,9 +224,7 @@ def _cmd_device_install(args) -> int:
     mcrt = documents.load_document(args.mfr_cert)
     inst = dev.install_firmware(fw_doc, image, [mcrt], args.instinfo)
     if args.store:
-        st = store_mod.load_store(args.store)
-        st.register("installation", inst)
-        st.persist(args.store)
+        _register(args.store, "installation", inst)
     device_mod.save_device(dev, args.device)
     print(f"state={dev.compute_state_digest().hex()}")
     return 0
@@ -233,9 +235,7 @@ def _cmd_device_configure(args) -> int:
     payload = Path(args.config).read_bytes()
     cfg = dev.apply_configuration(payload, args.seq)
     if args.store:
-        st = store_mod.load_store(args.store)
-        st.register("configuration", cfg)
-        st.persist(args.store)
+        _register(args.store, "configuration", cfg)
     device_mod.save_device(dev, args.device)
     print(f"state={dev.compute_state_digest().hex()}")
     return 0

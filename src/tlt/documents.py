@@ -73,14 +73,18 @@ MFR_ID_LEN = 16
 SIG_ENTRY_LEN = crypto.KEY_ID_LEN + crypto.SIGNATURE_LEN
 _PK_FIELD_LEN = 1 + crypto.PUBLIC_KEY_LEN
 
-# child doc_type -> doc_types allowed to issue (sign) it
-_LEGAL_ISSUERS = {
-    DOC_MANUFACTURER: (DOC_ROOT,),
-    DOC_DEVICE: (DOC_MANUFACTURER,),
-    DOC_FIRMWARE: (DOC_MANUFACTURER,),
-    DOC_INSTALLATION: (DOC_DEVICE,),
-    DOC_CONFIGURATION: (DOC_DEVICE,),
+# The chain of trust's shape: child doc_type -> (the only doc_type that may
+# issue (sign) it, the child's tag naming that issuer, the issuer's tag holding
+# the same id). The root names no issuer: it is the one trust anchor.
+_ISSUERS = {
+    DOC_MANUFACTURER: (DOC_ROOT, None, None),
+    DOC_DEVICE: (DOC_MANUFACTURER, DEV_MFR_ID, MFR_ID),
+    DOC_FIRMWARE: (DOC_MANUFACTURER, FW_MFR_ID, MFR_ID),
+    DOC_INSTALLATION: (DOC_DEVICE, INST_UUID, DEV_UUID),
+    DOC_CONFIGURATION: (DOC_DEVICE, CFG_UUID, DEV_UUID),
 }
+# issuing doc_type -> tag of the id its children name it by
+_CERTIFICATE_ID_TAG = {issuer: tag for issuer, _, tag in _ISSUERS.values() if tag is not None}
 
 # doc_type -> tag of the embedded public key, for types that carry one
 _EMBEDDED_KEY_TAG = {
@@ -127,7 +131,7 @@ class Document:
         for t, value in self.fields:
             if t == tag:
                 return value
-        raise KeyError(f"no field 0x{tag:02x} in {DOC_TYPE_NAMES.get(self.doc_type, '?')} document")
+        raise MalformedDocument(f"no field 0x{tag:02x} in {DOC_TYPE_NAMES.get(self.doc_type, '?')} document")
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +239,7 @@ def embedded_public_key(doc: Document) -> PublicKey:
     """Public key carried by a certificate-type document."""
     tag = _EMBEDDED_KEY_TAG.get(doc.doc_type)
     if tag is None:
-        raise KeyError(f"{DOC_TYPE_NAMES.get(doc.doc_type, '?')} documents carry no key")
+        raise MalformedDocument(f"{DOC_TYPE_NAMES.get(doc.doc_type, '?')} documents carry no key")
     return _parse_pk(doc.field(tag))
 
 
@@ -249,23 +253,24 @@ def _pk_field(pk: PublicKey) -> bytes:
     return bytes([pk.suite_id]) + pk.data
 
 
-def issuer_id(doc: Document) -> bytes:
-    """The manufacturer id a device-level document claims to descend from."""
-    if doc.doc_type == DOC_DEVICE:
-        return doc.field(DEV_MFR_ID)
-    if doc.doc_type == DOC_FIRMWARE:
-        return doc.field(FW_MFR_ID)
-    raise KeyError("document carries no manufacturer id")
+def issuer_key(doc: Document) -> tuple[int, bytes] | None:
+    """(doc_type, id) of the certificate that must sign doc; None if the root signs it or it is the root."""
+    issuer_type, tag, _ = _ISSUERS.get(doc.doc_type, (None, None, None))
+    return None if tag is None else (issuer_type, doc.field(tag))
+
+
+def certificate_key(doc: Document) -> tuple[int, bytes] | None:
+    """(doc_type, id) under which a manufacturer or device certificate is found, else None."""
+    tag = _CERTIFICATE_ID_TAG.get(doc.doc_type)
+    return None if tag is None else (doc.doc_type, doc.field(tag))
 
 
 def subject_uuid(doc: Document) -> bytes:
-    """The device UUID a document is about."""
-    tag = {DOC_DEVICE: DEV_UUID, DOC_INSTALLATION: INST_UUID, DOC_CONFIGURATION: CFG_UUID}.get(
-        doc.doc_type
-    )
-    if tag is None:
-        raise KeyError("document carries no device uuid")
-    return doc.field(tag)
+    """The UUID of the device a document is about: its own, or its signing device's."""
+    key = certificate_key(doc) or issuer_key(doc)
+    if key is None or key[0] != DOC_DEVICE:
+        raise MalformedDocument("document carries no device uuid")
+    return key[1]
 
 
 def config_seq(doc: Document) -> int:
@@ -456,9 +461,9 @@ def verify_chain(chain: list[Document] | tuple[Document, ...], root: Document) -
     The chain is ordered leaf first and must end with the root itself. Each
     document's signatures must verify under the embedded key of the next
     document, the final document must byte-equal the anchor and self-verify,
-    and identity bindings must hold: device-level documents carry the id of
-    the manufacturer that signed them; installation and configuration
-    documents carry the UUID of the device certificate that signed them.
+    and identity bindings must hold: each document's issuer is of the type
+    _ISSUERS allows and carries the id the document names it by (issuer_key),
+    i.e. the manufacturer id or the device UUID.
 
     Failures return a falsy ChainResult carrying a diagnostic reason.
     """
@@ -488,18 +493,14 @@ def verify_chain(chain: list[Document] | tuple[Document, ...], root: Document) -
         return _fail(f"root does not self-verify: {reason}")
 
     for child, issuer in zip(chain, chain[1:]):
-        allowed = _LEGAL_ISSUERS.get(child.doc_type, ())
-        if issuer.doc_type not in allowed:
+        if issuer.doc_type != _ISSUERS.get(child.doc_type, (None,))[0]:
             return _fail(
                 f"{DOC_TYPE_NAMES.get(issuer.doc_type, '?')} document cannot issue "
                 f"{DOC_TYPE_NAMES.get(child.doc_type, '?')} documents"
             )
-        if child.doc_type in (DOC_DEVICE, DOC_FIRMWARE):
-            if issuer_id(child) != issuer.field(MFR_ID):
-                return _fail("manufacturer id does not match the issuing certificate", constraint=True)
-        if child.doc_type in (DOC_INSTALLATION, DOC_CONFIGURATION):
-            if subject_uuid(child) != issuer.field(DEV_UUID):
-                return _fail("device uuid does not match the signing certificate", constraint=True)
+        if issuer_key(child) not in (None, certificate_key(issuer)):
+            child_name, issuer_name = DOC_TYPE_NAMES[child.doc_type], DOC_TYPE_NAMES[issuer.doc_type]
+            return _fail(f"{child_name} document names another {issuer_name}", constraint=True)
         try:
             issuer_pk = embedded_public_key(issuer)
         except InvalidKey as exc:

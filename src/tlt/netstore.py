@@ -16,8 +16,10 @@ Responses:
     ERR <code>            codes: NOTFOUND, BADREQ
 
 DEV payload: len(4, big-endian) || device certificate || len(4) ||
-manufacturer certificate. STATE payload: current flag(1) || inst_ref(4) ||
-cfg_ref(4, 0xffffffff when none) || cfg_seq(8) || firmware metadata (UTF-8).
+manufacturer certificate. The client raises ParseError unless the second is
+the certificate the first names as its issuer (documents.issuer_key). STATE
+payload: current flag(1) || inst_ref(4) || cfg_ref(4, 0xffffffff when none) ||
+cfg_seq(8) || firmware metadata (UTF-8).
 
 The server is read-only: all writes happen in the owning process before it
 starts serving, which keeps the store's single-writer contract trivially
@@ -31,7 +33,7 @@ import socketserver
 import threading
 
 from . import documents
-from .errors import NotFound, ParseError, TltError
+from .errors import MalformedDocument, NotFound, ParseError, TltError
 from .store import DeviceView, StateView, Store
 
 _NO_REF = 0xFFFFFFFF
@@ -66,7 +68,13 @@ def decode_device_payload(payload: bytes, uuid: bytes) -> DeviceView:
     mcrt_bytes = rest[4 : 4 + m]
     if len(mcrt_bytes) != m or len(rest) != 4 + m:
         raise ParseError("trailing bytes in device payload")
-    view = DeviceView.from_certificates(documents.decode(dcrt_bytes), documents.decode(mcrt_bytes))
+    try:
+        dcrt, mcrt = documents.decode(dcrt_bytes), documents.decode(mcrt_bytes)
+        if dcrt.doc_type != documents.DOC_DEVICE or documents.issuer_key(dcrt) != documents.certificate_key(mcrt):
+            raise ParseError("device payload is not a device certificate followed by its issuer's")
+        view = DeviceView.from_certificates(dcrt, mcrt)
+    except MalformedDocument as exc:
+        raise ParseError(f"malformed device payload: {exc}") from None
     if view.uuid != bytes(uuid):
         raise ParseError("device certificate is for another UUID")
     return view
@@ -206,7 +214,8 @@ class StoreClient:
             return bytes.fromhex(response[3:])
         if response == "ERR NOTFOUND":
             raise NotFound(request.split(" ")[0].lower() + " lookup failed")
-        raise TltError(f"store protocol error: {response!r}")
+        # A reply may be up to MAX_RESPONSE_LINE long; quote only its start.
+        raise TltError(f"store protocol error: {repr(response)[:80]}")
 
     def lookup_device(self, uuid: bytes) -> DeviceView:
         payload = self._payload(f"DEV {bytes(uuid).hex()}")

@@ -1,10 +1,12 @@
 """Central trust store: registration, lookups, append-only persistence.
 
 Every record is admitted only after full chain verification against the
-store's root, with issuers resolved from already-registered records. State
-index entries are recomputed by the store itself at admission time from the
-latest installation and configuration for a UUID, so the index is always
-derivable from the log.
+store's root. Its issuers come from registered records, found by following
+documents.issuer_key up to the root; a missing one raises UnknownIssuer
+naming its type ("device is not registered"). State index entries are
+recomputed by the store itself at admission time from the latest
+installation and configuration for a UUID, so the index is always derivable
+from the log.
 
 Log format (`.tltlog`): one ASCII line per record, each ending in LF,
 
@@ -53,7 +55,6 @@ class DeviceView:
     uuid: bytes
     dinf: str
     public_key: crypto.PublicKey
-    mfr_id: bytes
     mfr_info: str
     certificate: Document
     mfr_certificate: Document
@@ -65,7 +66,6 @@ class DeviceView:
             uuid=documents.subject_uuid(dcrt),
             dinf=dcrt.field(documents.DEV_INFO).decode(errors="replace"),
             public_key=documents.embedded_public_key(dcrt),
-            mfr_id=dcrt.field(documents.DEV_MFR_ID),
             mfr_info=mcrt.field(documents.MFR_INFO).decode(errors="replace"),
             certificate=dcrt,
             mfr_certificate=mcrt,
@@ -94,8 +94,7 @@ class Store:
             raise ChainInvalid(f"root does not self-verify: {result.reason}")
         self.root = root
         self.records: list[StoreRecord] = [StoreRecord("root", root, 0)]
-        self._mfrs: dict[bytes, int] = {}        # mfr_id -> seq
-        self._devices: dict[bytes, int] = {}     # uuid -> seq
+        self._certs: dict[tuple[int, bytes], int] = {}  # documents.certificate_key -> seq
         self._firmware: dict[bytes, int] = {}    # doc digest -> seq
         self._latest_inst: dict[bytes, int] = {} # uuid -> seq
         self._latest_cfg: dict[bytes, int] = {}  # uuid -> seq
@@ -135,31 +134,23 @@ class Store:
         return seq
 
     def _resolve_intermediates(self, doc: Document) -> list[Document]:
-        if doc.doc_type == documents.DOC_MANUFACTURER:
-            return []
-        if doc.doc_type in (documents.DOC_DEVICE, documents.DOC_FIRMWARE):
-            mfr_seq = self._mfrs.get(documents.issuer_id(doc))
-            if mfr_seq is None:
-                raise UnknownIssuer("manufacturer is not registered")
-            return [self.records[mfr_seq].doc]
-        # installation / configuration chain through their device certificate
-        dev_seq = self._devices.get(documents.subject_uuid(doc))
-        if dev_seq is None:
-            raise UnknownIssuer("device is not registered")
-        dcrt = self.records[dev_seq].doc
-        mfr_seq = self._mfrs.get(documents.issuer_id(dcrt))
-        if mfr_seq is None:  # pragma: no cover - devices only admit under registered mfrs
-            raise UnknownIssuer("manufacturer is not registered")
-        return [dcrt, self.records[mfr_seq].doc]
+        """The registered certificates between doc and the root, nearest first."""
+        chain = []
+        key = documents.issuer_key(doc)
+        while key is not None:
+            seq = self._certs.get(key)
+            if seq is None:
+                raise UnknownIssuer(f"{documents.DOC_TYPE_NAMES[key[0]]} is not registered")
+            chain.append(self.records[seq].doc)
+            key = documents.issuer_key(chain[-1])
+        return chain
 
     def _check_admission_constraints(self, doc: Document) -> None:
-        if doc.doc_type == documents.DOC_MANUFACTURER:
-            if doc.field(documents.MFR_ID) in self._mfrs:
-                raise ConstraintViolation("manufacturer id already registered")
-        elif doc.doc_type == documents.DOC_DEVICE:
-            if documents.subject_uuid(doc) in self._devices:
+        if documents.certificate_key(doc) in self._certs:
+            if doc.doc_type == documents.DOC_DEVICE:
                 raise DuplicateUuid("a device with this UUID is already registered")
-        elif doc.doc_type == documents.DOC_INSTALLATION:
+            raise ConstraintViolation("manufacturer id already registered")
+        if doc.doc_type == documents.DOC_INSTALLATION:
             if doc.field(documents.INST_FW_DOC_DIGEST) not in self._firmware:
                 raise ConstraintViolation("installation references unregistered firmware")
         elif doc.doc_type == documents.DOC_CONFIGURATION:
@@ -174,10 +165,8 @@ class Store:
                 )
 
     def _index_record(self, doc: Document, seq: int) -> None:
-        if doc.doc_type == documents.DOC_MANUFACTURER:
-            self._mfrs[doc.field(documents.MFR_ID)] = seq
-        elif doc.doc_type == documents.DOC_DEVICE:
-            self._devices[documents.subject_uuid(doc)] = seq
+        if doc.doc_type in (documents.DOC_MANUFACTURER, documents.DOC_DEVICE):
+            self._certs[documents.certificate_key(doc)] = seq
         elif doc.doc_type == documents.DOC_FIRMWARE:
             self._firmware[documents.doc_digest(doc)] = seq
         elif doc.doc_type == documents.DOC_INSTALLATION:
@@ -199,12 +188,11 @@ class Store:
     # -- lookups -----------------------------------------------------------
 
     def lookup_device(self, uuid: bytes) -> DeviceView:
-        seq = self._devices.get(bytes(uuid))
+        seq = self._certs.get((documents.DOC_DEVICE, bytes(uuid)))
         if seq is None:
             raise NotFound("unknown device UUID")
         dcrt = self.records[seq].doc
-        mcrt = self.records[self._mfrs[documents.issuer_id(dcrt)]].doc
-        return DeviceView.from_certificates(dcrt, mcrt)
+        return DeviceView.from_certificates(dcrt, *self._resolve_intermediates(dcrt))
 
     def lookup_state(self, uuid: bytes, state_digest: bytes) -> StateView:
         refs = self._state_index.get((bytes(uuid), bytes(state_digest)))

@@ -158,6 +158,16 @@ def test_cross_signed_device_certificate_rejected(rng, stack):
     assert result.constraint
 
 
+def test_installation_naming_another_device_rejected(rng, stack):
+    # the device's own key signs an installation that claims another UUID
+    forged = documents.make_installation_document(
+        stack.fw_doc, crypto.generate_uuid(rng), "slot=0", stack.dev.secret_key
+    )
+    result = documents.verify_chain([forged, stack.dcrt, stack.mcrt, stack.root], stack.root)
+    assert not result
+    assert result.constraint
+
+
 def test_make_device_certificate_requires_matching_key(rng, stack):
     dev_pk, _ = crypto.generate_keypair(rng)
     _, wrong_sk = crypto.generate_keypair(rng)

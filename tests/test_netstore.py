@@ -1,16 +1,22 @@
 from __future__ import annotations
 
 import contextlib
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from tlt import crypto, netstore
+from tlt import crypto, device, documents, netstore
 from tlt.errors import NotFound, ParseError, TltError
 from tlt.netstore import StoreClient, StoreServer, handle_request_line
 from tlt.verifier import StateCheck, Verifier
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _raw_query(addr, line: str) -> str:
@@ -23,6 +29,37 @@ def _raw_query(addr, line: str) -> str:
                 break
             buf += chunk
     return buf.decode().rstrip("\n")
+
+
+@contextlib.contextmanager
+def _stand_in(reply: bytes):
+    """A server on 127.0.0.1 that answers one request line with `reply` and keeps the socket open."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5)
+    done = threading.Event()
+
+    def serve_one():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rb") as request:
+            request.readline()
+            conn.sendall(reply)
+            done.wait(5)
+
+    thread = threading.Thread(target=serve_one, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()
+    finally:
+        done.set()
+        thread.join(timeout=5)
+        listener.close()
+    assert not thread.is_alive()
+
+
+def _dev_payload(*docs) -> bytes:
+    return b"".join(
+        len(raw).to_bytes(4, "big") + raw for raw in map(documents.encode_canonical, docs)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -109,30 +146,22 @@ def test_server_drops_idle_connection(stack, monkeypatch, capfd):
 
 def test_client_rejects_overlong_response(stack):
     """A server that never ends its line is cut off, not buffered."""
-    listener = socket.create_server(("127.0.0.1", 0))
-    done = threading.Event()
-
-    def serve_one():
-        conn, _ = listener.accept()
-        with conn, conn.makefile("rb") as request:
-            request.readline()
-            conn.sendall(b"O" * 65_537)  # one byte over the cap, no newline
-            done.wait(5)
-
-    stand_in = threading.Thread(target=serve_one, daemon=True)
-    stand_in.start()
-    try:
-        client = StoreClient(*listener.getsockname())
+    with _stand_in(b"O" * 65_537) as addr:  # one byte over the cap, no newline
+        client = StoreClient(*addr)
         start = time.monotonic()
         with pytest.raises(TltError) as excinfo:
             client.lookup_device(stack.dev.uuid)
         assert time.monotonic() - start < 2
         assert len(str(excinfo.value)) < 200
-    finally:
-        done.set()
-        stand_in.join(timeout=5)
-        listener.close()
-    assert not stand_in.is_alive()
+
+
+def test_client_error_quotes_a_bounded_part_of_the_response(stack):
+    """A long line that is no valid answer is not copied whole into the error."""
+    with _stand_in(b"X" * 60_000 + b"\n") as addr:  # under the cap, so it is read in full
+        with pytest.raises(TltError) as excinfo:
+            StoreClient(*addr).lookup_device(stack.dev.uuid)
+    assert str(excinfo.value).startswith("store protocol error: 'XXX")
+    assert len(str(excinfo.value)) < 200
 
 
 def test_verifier_works_over_line_protocol(stack, rng):
@@ -154,3 +183,41 @@ def test_dev_payload_for_another_uuid_rejected(stack, rng):
     forged = netstore.encode_device_payload(stack.store.lookup_device(stack.dev.uuid))
     with pytest.raises(ParseError):
         netstore.decode_device_payload(forged, crypto.generate_uuid(rng))
+
+
+def _other_manufacturer(stack):
+    pk, _ = crypto.generate_keypair(stack.rng)
+    return documents.make_manufacturer_certificate("Other Corp", pk, stack.authority_sk, stack.rng)
+
+
+@pytest.mark.parametrize(
+    "certificates",
+    [
+        lambda s: (s.root, s.root),
+        lambda s: (s.dcrt, s.dcrt),  # DEV_INFO and MFR_INFO share tag 0x01
+        lambda s: (s.dcrt, _other_manufacturer(s)),
+    ],
+    ids=["root-root", "device-device", "device-other-manufacturer"],
+)
+def test_dev_payload_must_be_a_device_certificate_and_its_issuer(stack, certificates):
+    with pytest.raises(ParseError):
+        netstore.decode_device_payload(_dev_payload(*certificates(stack)), stack.dev.uuid)
+
+
+def test_cli_reports_malformed_dev_answer(stack, tmp_path):
+    """`verify challenge --connect` against a server that answers DEV with the root twice."""
+    device.save_device(stack.dev, tmp_path / "dev.tltdev")
+    crypto.save_secret_key(stack.dev.secret_key, tmp_path / ("dev" + crypto.SECRET_KEY_EXT))
+    reply = b"OK " + _dev_payload(stack.root, stack.root).hex().encode() + b"\n"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    with _stand_in(reply) as (host, port):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tlt.cli", "verify", "challenge", "--connect", f"{host}:{port}",
+             "--device", str(tmp_path / "dev.tltdev")],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("ParseError: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr

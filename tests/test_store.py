@@ -10,6 +10,7 @@ from tlt.errors import (
     ConstraintViolation,
     CorruptLog,
     DuplicateUuid,
+    MalformedDocument,
     NotFound,
     UnknownIssuer,
 )
@@ -156,6 +157,15 @@ def test_register_cross_manufacturer_device_rejected(stack, rng):
     forged = documents.append_signature(forged, b_sk)
     with pytest.raises((ChainInvalid, ConstraintViolation)):
         st.register("device", forged)
+
+
+def test_register_document_without_fields_is_malformed(stack):
+    """A document missing the field that names its issuer fails as a TltError, not a KeyError."""
+    st = Store(stack.root)
+    with pytest.raises(MalformedDocument):
+        st.register("device", Document(documents.DOC_DEVICE, ()))
+    with pytest.raises(MalformedDocument):
+        st.register("installation", Document(documents.DOC_INSTALLATION, ()))
 
 
 # ---------------------------------------------------------------------------
