@@ -64,6 +64,12 @@ def _register(store_path, kind: str, doc, st=None) -> int:
     return seq
 
 
+def _port(text: str) -> int:
+    if not (text.isascii() and text.isdigit() and int(text) <= 0xFFFF):
+        raise argparse.ArgumentTypeError(f"port must be 0..65535, not {text!r}")
+    return int(text)
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="tlt", description="Touch-less trust tooling for IoT devices")
     p.add_argument("--seed", type=int, help="deterministic randomness seed")
@@ -128,7 +134,7 @@ def build_parser() -> _Parser:
     serve = ssub.add_parser("serve", help="serve DEV/STATE lookups over TCP until interrupted")
     _add_store_arg(serve)
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=7345)
+    serve.add_argument("--port", type=_port, default=7345, help="TCP port, 0..65535")
     dump = ssub.add_parser("dump", help="print a summary of every record")
     _add_store_arg(dump)
 
@@ -160,6 +166,9 @@ def build_parser() -> _Parser:
 
 def _cmd_authority_init(args) -> int:
     store_path = _need_store(args)
+    for path in (store_path, Path(args.key)):
+        if path.exists():
+            raise UsageError(f"{path} already exists; authority init never overwrites")
     pk, sk = crypto.generate_keypair(args.rng)
     root = documents.make_root_certificate(args.info, pk, sk)
     st = store_mod.Store(root)
@@ -323,8 +332,7 @@ def _cmd_verify_decide(args) -> int:
 
 
 def _cmd_threats_run(args) -> int:
-    ids = [args.scenario] if args.scenario else list(threats.SCENARIO_IDS)
-    reports = [threats.run_scenario(sid, args.seed) for sid in ids]
+    reports = [threats.run_scenario(args.scenario, args.seed)] if args.scenario else threats.run_all(args.seed)
     for report in reports:
         print(report.render())
         for note in report.notes:

@@ -29,7 +29,6 @@ from .errors import (
     StaleSequence,
 )
 
-DEVICE_FILE_EXT = ".tltdev"
 _DEV_MAGIC = b"TLTD"
 _DEV_VERSION = 0x01
 
@@ -171,8 +170,7 @@ def device_birth(
     result = documents.verify_chain([mfr_cert, root], root)
     if not result:
         raise ChainInvalid(f"manufacturer does not chain to the root: {result.reason}")
-    if crypto.public_key_of(mfr_sk) != documents.embedded_public_key(mfr_cert):
-        raise InvalidKey("secret key does not match the manufacturer certificate")
+    documents.check_manufacturer_key(mfr_sk, mfr_cert)
     uuid = crypto.generate_uuid(rng)
     public_key, secret_key = crypto.generate_keypair(rng)
     dcrt = documents.make_device_certificate(dinf, public_key, uuid, mfr_cert, mfr_sk)

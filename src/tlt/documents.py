@@ -281,15 +281,23 @@ def config_seq(doc: Document) -> int:
 # Constructors
 # ---------------------------------------------------------------------------
 
+def _unsigned(doc_type: int, *values: bytes) -> Document:
+    """Unsigned document whose field values follow _REQUIRED_FIELDS[doc_type] in order."""
+    layout = _REQUIRED_FIELDS[doc_type]
+    return Document(doc_type, tuple((tag, value) for (tag, _), value in zip(layout, values, strict=True)))
+
+
+def check_manufacturer_key(mfr_sk: SecretKey, mfr_cert: Document) -> None:
+    """InvalidKey unless mfr_cert is a manufacturer certificate for mfr_sk's public key."""
+    if mfr_cert.doc_type != DOC_MANUFACTURER or crypto.public_key_of(mfr_sk) != embedded_public_key(mfr_cert):
+        raise InvalidKey("secret key does not match the manufacturer certificate")
+
+
 def make_root_certificate(info: str, public_key: PublicKey, secret_key: SecretKey) -> Document:
     """Self-signed root anchoring all chain verification."""
     if crypto.public_key_of(secret_key) != public_key:
         raise InvalidKey("secret key does not match the authority public key")
-    doc = Document(
-        DOC_ROOT,
-        ((ROOT_INFO, info.encode()), (ROOT_PUBKEY, _pk_field(public_key))),
-    )
-    return append_signature(doc, secret_key)
+    return append_signature(_unsigned(DOC_ROOT, info.encode(), _pk_field(public_key)), secret_key)
 
 
 def make_manufacturer_certificate(
@@ -297,10 +305,7 @@ def make_manufacturer_certificate(
 ) -> Document:
     """Authority-signed manufacturer certificate with a fresh 16-byte id."""
     mfr_id = crypto.random_bytes(MFR_ID_LEN, rng)
-    doc = Document(
-        DOC_MANUFACTURER,
-        ((MFR_INFO, mfr_info.encode()), (MFR_ID, mfr_id), (MFR_PUBKEY, _pk_field(mfr_pk))),
-    )
+    doc = _unsigned(DOC_MANUFACTURER, mfr_info.encode(), mfr_id, _pk_field(mfr_pk))
     return append_signature(doc, authority_sk)
 
 
@@ -308,34 +313,19 @@ def make_device_certificate(
     dinf: str, device_pk: PublicKey, uuid: bytes, mfr_cert: Document, mfr_sk: SecretKey
 ) -> Document:
     """Manufacturer-signed device certificate binding info, key and UUID."""
-    if crypto.public_key_of(mfr_sk) != embedded_public_key(mfr_cert):
-        raise InvalidKey("secret key does not match the manufacturer certificate")
+    check_manufacturer_key(mfr_sk, mfr_cert)
     if not crypto.is_uuid4(uuid):
         raise ConstraintViolation("device uuid is not a valid random UUID")
-    doc = Document(
-        DOC_DEVICE,
-        (
-            (DEV_INFO, dinf.encode()),
-            (DEV_PUBKEY, _pk_field(device_pk)),
-            (DEV_UUID, bytes(uuid)),
-            (DEV_MFR_ID, mfr_cert.field(MFR_ID)),
-        ),
-    )
+    _, mfr_id = certificate_key(mfr_cert)
+    doc = _unsigned(DOC_DEVICE, dinf.encode(), _pk_field(device_pk), bytes(uuid), mfr_id)
     return append_signature(doc, mfr_sk)
 
 
 def sign_firmware(fw_image: bytes, fw_meta: str, mfr_sk: SecretKey, mfr_cert: Document) -> Document:
     """Manufacturer-signed firmware document over the image digest."""
-    if crypto.public_key_of(mfr_sk) != embedded_public_key(mfr_cert):
-        raise InvalidKey("secret key does not match the manufacturer certificate")
-    doc = Document(
-        DOC_FIRMWARE,
-        (
-            (FW_META, fw_meta.encode()),
-            (FW_IMAGE_DIGEST, crypto.digest(fw_image)),
-            (FW_MFR_ID, mfr_cert.field(MFR_ID)),
-        ),
-    )
+    check_manufacturer_key(mfr_sk, mfr_cert)
+    _, mfr_id = certificate_key(mfr_cert)
+    doc = _unsigned(DOC_FIRMWARE, fw_meta.encode(), crypto.digest(fw_image), mfr_id)
     return append_signature(doc, mfr_sk)
 
 
@@ -348,14 +338,7 @@ def make_installation_document(
     itself; the store keeps the full form, so the digest is always
     resolvable.
     """
-    doc = Document(
-        DOC_INSTALLATION,
-        (
-            (INST_FW_DOC_DIGEST, doc_digest(fw_doc)),
-            (INST_UUID, bytes(uuid)),
-            (INST_INFO, instinfo.encode()),
-        ),
-    )
+    doc = _unsigned(DOC_INSTALLATION, doc_digest(fw_doc), bytes(uuid), instinfo.encode())
     return append_signature(doc, device_sk)
 
 
@@ -365,14 +348,7 @@ def make_configuration_document(
     """Device-signed record of the configuration payload digest."""
     if not 0 < seq <= 0xFFFFFFFFFFFFFFFF:
         raise ValueError("configuration sequence must be a positive 64-bit integer")
-    doc = Document(
-        DOC_CONFIGURATION,
-        (
-            (CFG_DIGEST, crypto.digest(cfg_payload)),
-            (CFG_UUID, bytes(uuid)),
-            (CFG_SEQ, seq.to_bytes(8, "big")),
-        ),
-    )
+    doc = _unsigned(DOC_CONFIGURATION, crypto.digest(cfg_payload), bytes(uuid), seq.to_bytes(8, "big"))
     return append_signature(doc, device_sk)
 
 
@@ -382,14 +358,7 @@ def empty_configuration_document(uuid: bytes) -> Document:
     seq 0 is reserved for this form, so the first real configuration must
     use seq >= 1.
     """
-    return Document(
-        DOC_CONFIGURATION,
-        (
-            (CFG_DIGEST, crypto.digest(b"")),
-            (CFG_UUID, bytes(uuid)),
-            (CFG_SEQ, (0).to_bytes(8, "big")),
-        ),
-    )
+    return _unsigned(DOC_CONFIGURATION, crypto.digest(b""), bytes(uuid), (0).to_bytes(8, "big"))
 
 
 def state_digest(inst_doc: Document, cfg_doc: Document | None, uuid: bytes) -> bytes:

@@ -12,7 +12,7 @@ newline included, instead of buffering it.
 
 Responses:
 
-    OK <hex payload>
+    OK <hex payload>      the client raises ParseError if the payload is not hex
     ERR <code>            codes: NOTFOUND, BADREQ
 
 DEV payload: len(4, big-endian) || device certificate || len(4) ||
@@ -210,11 +210,14 @@ class StoreClient:
 
     def _payload(self, request: str) -> bytes:
         response = self._query(request)
+        # A reply may be up to MAX_RESPONSE_LINE long; errors quote only its start.
         if response.startswith("OK "):
-            return bytes.fromhex(response[3:])
+            try:
+                return bytes.fromhex(response[3:])
+            except ValueError:
+                raise ParseError(f"store answer is not hex: {repr(response)[:80]}") from None
         if response == "ERR NOTFOUND":
             raise NotFound(request.split(" ")[0].lower() + " lookup failed")
-        # A reply may be up to MAX_RESPONSE_LINE long; quote only its start.
         raise TltError(f"store protocol error: {repr(response)[:80]}")
 
     def lookup_device(self, uuid: bytes) -> DeviceView:

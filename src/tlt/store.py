@@ -3,10 +3,13 @@
 Every record is admitted only after full chain verification against the
 store's root. Its issuers come from registered records, found by following
 documents.issuer_key up to the root; a missing one raises UnknownIssuer
-naming its type ("device is not registered"). State index entries are
-recomputed by the store itself at admission time from the latest
-installation and configuration for a UUID, so the index is always derivable
-from the log.
+naming its type ("device is not registered"). Store.register then admits
+each document type in one branch that makes every check for that type (no
+duplicate certificate, registered firmware, an installation before any
+configuration, a rising configuration seq) before it writes anything, so a
+rejected record leaves the store as it was. The store computes each state
+digest itself from the device's latest installation and configuration and
+keeps every digest a device has had, so the index is derivable from the log.
 
 Log format (`.tltlog`): one ASCII line per record, each ending in LF,
 
@@ -34,9 +37,6 @@ from .errors import (
     NotFound,
     UnknownIssuer,
 )
-
-STORE_FILE_EXT = ".tltlog"
-
 
 _DOC_TYPE_BY_KIND = {name: doc_type for doc_type, name in documents.DOC_TYPE_NAMES.items()}
 
@@ -96,11 +96,10 @@ class Store:
         self.records: list[StoreRecord] = [StoreRecord("root", root, 0)]
         self._certs: dict[tuple[int, bytes], int] = {}  # documents.certificate_key -> seq
         self._firmware: dict[bytes, int] = {}    # doc digest -> seq
-        self._latest_inst: dict[bytes, int] = {} # uuid -> seq
-        self._latest_cfg: dict[bytes, int] = {}  # uuid -> seq
-        # (uuid, state digest) -> (inst_ref, cfg_ref)
+        # uuid -> (current state digest, installation seq, configuration seq or None)
+        self._current: dict[bytes, tuple[bytes, int, int | None]] = {}
+        # (uuid, state digest) -> (inst_ref, cfg_ref), for every state a device has had
         self._state_index: dict[tuple[bytes, bytes], tuple[int, int | None]] = {}
-        self._current_state: dict[bytes, bytes] = {}
 
     # -- registration ------------------------------------------------------
 
@@ -127,10 +126,36 @@ class Store:
                 raise ConstraintViolation(result.reason)
             raise ChainInvalid(result.reason)
 
-        self._check_admission_constraints(doc)
+        # One branch per type: every check runs before the first write.
         seq = len(self.records)
+        if doc.doc_type == documents.DOC_FIRMWARE:
+            self._firmware[documents.doc_digest(doc)] = seq
+        elif doc.doc_type in (documents.DOC_MANUFACTURER, documents.DOC_DEVICE):
+            key = documents.certificate_key(doc)
+            if key in self._certs:
+                if doc.doc_type == documents.DOC_DEVICE:
+                    raise DuplicateUuid("a device with this UUID is already registered")
+                raise ConstraintViolation("manufacturer id already registered")
+            self._certs[key] = seq
+        else:
+            uuid = documents.subject_uuid(doc)
+            _, inst_ref, cfg_ref = self._current.get(uuid, (None, None, None))
+            cfg_doc = self.records[cfg_ref].doc if cfg_ref is not None else None
+            if doc.doc_type == documents.DOC_INSTALLATION:
+                if doc.field(documents.INST_FW_DOC_DIGEST) not in self._firmware:
+                    raise ConstraintViolation("installation references unregistered firmware")
+                inst_ref, inst_doc = seq, doc
+            else:
+                if inst_ref is None:
+                    raise ConstraintViolation("no installation registered for this device")
+                latest_seq = documents.config_seq(cfg_doc) if cfg_doc is not None else 0
+                if documents.config_seq(doc) <= latest_seq:
+                    raise ConstraintViolation(f"configuration sequence must exceed {latest_seq}")
+                inst_doc, cfg_ref, cfg_doc = self.records[inst_ref].doc, seq, doc
+            digest = documents.state_digest(inst_doc, cfg_doc, uuid)
+            self._state_index[(uuid, digest)] = (inst_ref, cfg_ref)
+            self._current[uuid] = (digest, inst_ref, cfg_ref)
         self.records.append(StoreRecord(kind, doc, seq))
-        self._index_record(doc, seq)
         return seq
 
     def _resolve_intermediates(self, doc: Document) -> list[Document]:
@@ -144,46 +169,6 @@ class Store:
             chain.append(self.records[seq].doc)
             key = documents.issuer_key(chain[-1])
         return chain
-
-    def _check_admission_constraints(self, doc: Document) -> None:
-        if documents.certificate_key(doc) in self._certs:
-            if doc.doc_type == documents.DOC_DEVICE:
-                raise DuplicateUuid("a device with this UUID is already registered")
-            raise ConstraintViolation("manufacturer id already registered")
-        if doc.doc_type == documents.DOC_INSTALLATION:
-            if doc.field(documents.INST_FW_DOC_DIGEST) not in self._firmware:
-                raise ConstraintViolation("installation references unregistered firmware")
-        elif doc.doc_type == documents.DOC_CONFIGURATION:
-            uuid = documents.subject_uuid(doc)
-            if uuid not in self._latest_inst:
-                raise ConstraintViolation("no installation registered for this device")
-            latest = self._latest_cfg.get(uuid)
-            latest_seq = documents.config_seq(self.records[latest].doc) if latest is not None else 0
-            if documents.config_seq(doc) <= latest_seq:
-                raise ConstraintViolation(
-                    f"configuration sequence must exceed {latest_seq}"
-                )
-
-    def _index_record(self, doc: Document, seq: int) -> None:
-        if doc.doc_type in (documents.DOC_MANUFACTURER, documents.DOC_DEVICE):
-            self._certs[documents.certificate_key(doc)] = seq
-        elif doc.doc_type == documents.DOC_FIRMWARE:
-            self._firmware[documents.doc_digest(doc)] = seq
-        elif doc.doc_type == documents.DOC_INSTALLATION:
-            self._latest_inst[documents.subject_uuid(doc)] = seq
-            self._update_state_index(documents.subject_uuid(doc))
-        elif doc.doc_type == documents.DOC_CONFIGURATION:
-            self._latest_cfg[documents.subject_uuid(doc)] = seq
-            self._update_state_index(documents.subject_uuid(doc))
-
-    def _update_state_index(self, uuid: bytes) -> None:
-        inst_ref = self._latest_inst[uuid]
-        cfg_ref = self._latest_cfg.get(uuid)
-        inst_doc = self.records[inst_ref].doc
-        cfg_doc = self.records[cfg_ref].doc if cfg_ref is not None else None
-        digest = documents.state_digest(inst_doc, cfg_doc, uuid)
-        self._state_index[(uuid, digest)] = (inst_ref, cfg_ref)
-        self._current_state[uuid] = digest
 
     # -- lookups -----------------------------------------------------------
 
@@ -212,17 +197,17 @@ class Store:
             state_digest=bytes(state_digest),
             fw_meta=fw_meta,
             cfg_seq=cfg_seq,
-            current=self._current_state.get(bytes(uuid)) == bytes(state_digest),
+            current=self._current.get(bytes(uuid), (None,))[0] == bytes(state_digest),
             inst_ref=inst_ref,
             cfg_ref=cfg_ref,
         )
 
     def current_state_digest(self, uuid: bytes) -> bytes:
         """Latest state digest the store expects for a device."""
-        digest = self._current_state.get(bytes(uuid))
-        if digest is None:
+        current = self._current.get(bytes(uuid))
+        if current is None:
             raise NotFound("no state registered for this device")
-        return digest
+        return current[0]
 
     # -- persistence -------------------------------------------------------
 

@@ -123,15 +123,7 @@ def parse_data_frame(data: bytes) -> DataFrame:
     payload_len = int.from_bytes(data[3:5], "big")
     if DATA_HEADER_LEN + payload_len != len(data):
         raise ParseError("payload length does not match frame size")
-    frag_index, frag_total = data[1], data[2]
-    if frag_total < 1 or frag_index >= frag_total:
-        raise ParseError("bad fragment counters")
-    return DataFrame(
-        msg_type=data[0],
-        frag_index=frag_index,
-        frag_total=frag_total,
-        payload=data[5:],
-    )
+    return DataFrame(msg_type=data[0], frag_index=data[1], frag_total=data[2], payload=data[5:])
 
 
 def fragment(msg_type: int, payload: bytes) -> list[DataFrame]:

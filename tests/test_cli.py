@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tlt import crypto, transport
+from tlt import crypto, netstore, transport
 from tlt.cli import main
 from tlt.device import load_device
 from tlt.netstore import StoreClient
@@ -127,9 +127,38 @@ def test_verify_decide(workspace, capsys, monkeypatch):
     assert main(["verify", "decide", "--line", verdict_line]) == 0
 
 
+def test_authority_init_never_overwrites(workspace, capsys, monkeypatch):
+    _provision(workspace, capsys)  # the store now holds a manufacturer
+    kept = ["s.tltlog", "authority.tltkey", "authority.tltpub"]
+    before = {name: (workspace / name).read_bytes() for name in kept}
+
+    def no_draw(*_args, **_kwargs):
+        raise AssertionError("a key was drawn")
+
+    monkeypatch.setattr(crypto, "generate_keypair", no_draw)
+    for store, key in [("s.tltlog", "new.tltkey"), ("new.tltlog", "authority.tltkey")]:
+        assert main(["authority", "init", "--store", store, "--key", key]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("UsageError: ") and err.count("\n") == 1
+    assert {name: (workspace / name).read_bytes() for name in kept} == before
+    assert not list(workspace.glob("new.*"))
+
+
 # ---------------------------------------------------------------------------
 # Store serving
 # ---------------------------------------------------------------------------
+
+def test_serve_rejects_out_of_range_port(workspace, capsys, monkeypatch):
+    assert main(["authority", "init", "--store", "s.tltlog", "--key", "a.tltkey"]) == 0
+    capsys.readouterr()
+
+    def no_server(*_args, **_kwargs):
+        raise AssertionError("a server was started")
+
+    monkeypatch.setattr(netstore, "StoreServer", no_server)
+    assert main(["store", "serve", "--store", "s.tltlog", "--port", "99999"]) == 2
+    assert capsys.readouterr().err == "UsageError: argument --port: port must be 0..65535, not '99999'\n"
+
 
 def test_serve_and_remote_challenge(workspace, capsys):
     _provision(workspace, capsys)

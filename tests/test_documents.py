@@ -177,6 +177,16 @@ def test_make_device_certificate_requires_matching_key(rng, stack):
         )
 
 
+def test_manufacturer_key_needs_a_manufacturer_certificate(rng, stack):
+    """A certificate of another type is refused, even with its own secret key."""
+    dev_pk, _ = crypto.generate_keypair(rng)
+    for cert, sk in [(stack.root, stack.authority_sk), (stack.dcrt, stack.dev.secret_key)]:
+        with pytest.raises(InvalidKey):
+            documents.sign_firmware(b"image", "fw", sk, cert)
+        with pytest.raises(InvalidKey):
+            documents.make_device_certificate("dev", dev_pk, crypto.generate_uuid(rng), cert, sk)
+
+
 def test_make_device_certificate_requires_valid_uuid(rng, stack):
     dev_pk, _ = crypto.generate_keypair(rng)
     with pytest.raises(ConstraintViolation):

@@ -164,6 +164,24 @@ def test_client_error_quotes_a_bounded_part_of_the_response(stack):
     assert len(str(excinfo.value)) < 200
 
 
+@pytest.mark.parametrize(
+    "answer", [b"OK zz", b"OK 0", b"OK " + b"z" * 60_000], ids=["non-hex", "odd-length", "long"]
+)
+@pytest.mark.parametrize("lookup", ["device", "state"])
+def test_client_rejects_an_answer_that_is_not_hex(stack, answer, lookup):
+    """A bad OK payload is a ParseError quoting at most 80 characters, not a bare ValueError."""
+    with _stand_in(answer + b"\n") as addr:
+        client = StoreClient(*addr)
+        with pytest.raises(ParseError) as excinfo:
+            if lookup == "device":
+                client.lookup_device(stack.dev.uuid)
+            else:
+                client.lookup_state(stack.dev.uuid, stack.dev.compute_state_digest())
+    message = str(excinfo.value)
+    assert message.startswith("store answer is not hex: 'OK ")
+    assert len(message) <= len("store answer is not hex: ") + 80
+
+
 def test_verifier_works_over_line_protocol(stack, rng):
     """The verifier accepts either the in-process store or the client."""
     with StoreServer(stack.store, port=0) as server:

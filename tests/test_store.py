@@ -137,6 +137,55 @@ def test_register_configuration_sequence_monotonic(stack):
         stack.store.register("configuration", cfg1)
 
 
+def test_rejected_register_leaves_the_store_unchanged(stack):
+    """Every admission check runs before the store writes anything."""
+    st, dev = stack.store, stack.dev
+    d_installed = dev.compute_state_digest()
+    st.register("configuration", dev.apply_configuration(b"one", 1))
+    d_configured = dev.compute_state_digest()
+    dev2, dcrt2 = device_birth(stack.mcrt, stack.mfr_sk, stack.root, "second lock", stack.rng)
+    st.register("device", dcrt2)
+
+    fw2 = documents.sign_firmware(b"unregistered image", "lock-9000 v2.0", stack.mfr_sk, stack.mcrt)
+    inst2 = documents.make_installation_document(fw2, dev.uuid, "slot=1", dev.secret_key)
+    early_cfg = documents.make_configuration_document(b"early", dev2.uuid, 1, dev2.secret_key)
+    stale_cfg = documents.make_configuration_document(b"stale", dev.uuid, 1, dev.secret_key)
+    rejected = [
+        ("device", dcrt2, DuplicateUuid),
+        ("manufacturer", stack.mcrt, ConstraintViolation),
+        ("installation", inst2, ConstraintViolation),
+        ("configuration", early_cfg, ConstraintViolation),
+        ("configuration", stale_cfg, ConstraintViolation),
+    ]
+    # The digests the store knows, and the ones the rejected records would add.
+    digests = [
+        d_installed,
+        d_configured,
+        documents.state_digest(inst2, dev.cfg, dev.uuid),
+        documents.state_digest(stack.inst, stale_cfg, dev.uuid),
+    ]
+
+    def answer(lookup, *args):
+        try:
+            return lookup(*args)
+        except NotFound as exc:
+            return f"NotFound: {exc}"
+
+    def observed():
+        return [list(st.records)] + [
+            (answer(st.lookup_device, uuid), answer(st.current_state_digest, uuid),
+             [answer(st.lookup_state, uuid, d) for d in digests])
+            for uuid in (dev.uuid, dev2.uuid)
+        ]
+
+    before = observed()
+    assert before[1][1] == d_configured and before[2][1].startswith("NotFound")
+    for kind, doc, error in rejected:
+        with pytest.raises(error):
+            st.register(kind, doc)
+        assert observed() == before, kind
+
+
 def test_register_cross_manufacturer_device_rejected(stack, rng):
     st = Store(stack.root)
     st.register("manufacturer", stack.mcrt)
