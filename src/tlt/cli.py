@@ -70,6 +70,11 @@ def _port(text: str) -> int:
     return int(text)
 
 
+def _address(text: str) -> tuple[str, int]:
+    host, _, port = text.rpartition(":")
+    return host or "127.0.0.1", _port(port)
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="tlt", description="Touch-less trust tooling for IoT devices")
     p.add_argument("--seed", type=int, help="deterministic randomness seed")
@@ -144,7 +149,7 @@ def build_parser() -> _Parser:
     scan.add_argument("--frame", required=True, help="advertising frame hex")
     challenge = vsub.add_parser("challenge", help="scan, challenge and judge a device")
     _add_store_arg(challenge, required=False)
-    challenge.add_argument("--connect", help="query a served store at HOST:PORT instead of --store")
+    challenge.add_argument("--connect", type=_address, help="query a served store at HOST:PORT instead of --store")
     challenge.add_argument("--device", required=True, help="device state path of the peer")
     challenge.add_argument("--key", help="device secret key path")
     challenge.add_argument("--auto-accept", action="store_true", help="accept on an open gate without prompting")
@@ -311,11 +316,7 @@ def _cmd_verify_scan(args) -> int:
 
 
 def _cmd_verify_challenge(args) -> int:
-    if args.connect:
-        host, _, port = args.connect.rpartition(":")
-        store_view = netstore.StoreClient(host or "127.0.0.1", int(port))
-    else:
-        store_view = store_mod.load_store(_need_store(args))
+    store_view = netstore.StoreClient(*args.connect) if args.connect else store_mod.load_store(_need_store(args))
     verdict = verifier_mod.run_exchange(store_view, _load_device(args), args.rng)
     print(verdict.render())
     accepted = verifier_mod.trust_decision(verdict, args.auto_accept)

@@ -99,37 +99,36 @@ class PublicKey:
 class SecretKey:
     suite_id: int
     data: bytes = field(repr=False)
+    _private: Ed25519PrivateKey = field(init=False, repr=False, compare=False)  # a parse is half a sign
 
     def __post_init__(self):
         if self.suite_id != SUITE_ED25519_SHA256:
             raise InvalidKey(f"unsupported suite 0x{self.suite_id:02x}")
         if len(self.data) != SECRET_KEY_LEN:
             raise InvalidKey(f"secret key must be {SECRET_KEY_LEN} bytes")
+        try:
+            object.__setattr__(self, "_private", Ed25519PrivateKey.from_private_bytes(self.data))
+        except (TypeError, ValueError) as exc:
+            raise InvalidKey(str(exc)) from exc
+
+    def __reduce__(self):  # the parsed key does not pickle; rebuild it from the bytes
+        return SecretKey, (self.suite_id, self.data)
 
 
 def generate_keypair(rng=None) -> tuple[PublicKey, SecretKey]:
     """Fresh suite-0x01 signing keypair from the given randomness source."""
-    seed = random_bytes(SECRET_KEY_LEN, rng)
-    sk = SecretKey(SUITE_ED25519_SHA256, seed)
+    sk = SecretKey(SUITE_ED25519_SHA256, random_bytes(SECRET_KEY_LEN, rng))
     return public_key_of(sk), sk
 
 
 def public_key_of(sk: SecretKey) -> PublicKey:
     """Derive the public half from a secret key (deterministic)."""
-    try:
-        priv = Ed25519PrivateKey.from_private_bytes(sk.data)
-    except Exception as exc:
-        raise InvalidKey(str(exc)) from exc
-    return PublicKey(sk.suite_id, priv.public_key().public_bytes_raw())
+    return PublicKey(sk.suite_id, sk._private.public_key().public_bytes_raw())
 
 
 def sign(sk: SecretKey, msg: bytes) -> bytes:
     """64-byte deterministic signature over msg."""
-    try:
-        priv = Ed25519PrivateKey.from_private_bytes(sk.data)
-    except Exception as exc:
-        raise InvalidKey(str(exc)) from exc
-    return priv.sign(bytes(msg))
+    return sk._private.sign(bytes(msg))
 
 
 def verify(pk: PublicKey, msg: bytes, sig: bytes) -> bool:

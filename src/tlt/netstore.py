@@ -167,7 +167,7 @@ class StoreServer(socketserver.ThreadingTCPServer):
         return self.server_address[0], self.server_address[1]
 
     def start(self) -> None:
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self.serve_forever, args=(0.05,), daemon=True)  # stop() waits out one poll
         self._thread.start()
 
     def stop(self) -> None:

@@ -235,10 +235,14 @@ def load_store(path) -> Store:
             raise CorruptLog(f"record {i}: malformed line", seq=i) from None
         if seq_text != str(i):
             raise CorruptLog(f"record {i}: bad sequence number {seq_text!r}", seq=i)
-        if not _is_lower_hex(hex_text):
+        try:
+            raw = bytes.fromhex(hex_text)
+        except ValueError:
+            raw = b""
+        if not raw or raw.hex() != hex_text:  # fromhex accepts upper case and skips whitespace
             raise CorruptLog(f"record {i}: document bytes are not lowercase hex", seq=i)
         try:
-            doc = documents.decode(bytes.fromhex(hex_text))
+            doc = documents.decode(raw)
         except Exception as exc:
             raise CorruptLog(f"record {i}: {exc}", seq=i) from None
 
@@ -255,7 +259,3 @@ def load_store(path) -> Store:
             except Exception as exc:
                 raise CorruptLog(f"record {i}: {exc}", seq=i) from None
     return store
-
-
-def _is_lower_hex(s: str) -> bool:
-    return len(s) > 0 and len(s) % 2 == 0 and all(c in "0123456789abcdef" for c in s)

@@ -160,6 +160,20 @@ def test_serve_rejects_out_of_range_port(workspace, capsys, monkeypatch):
     assert capsys.readouterr().err == "UsageError: argument --port: port must be 0..65535, not '99999'\n"
 
 
+@pytest.mark.parametrize("address, complaint", [
+    ("127.0.0.1:99999", "port must be 0..65535, not '99999'"),
+    ("nocolon", "port must be 0..65535, not 'nocolon'"),
+    ("host:", "port must be 0..65535, not ''"),
+])
+def test_challenge_rejects_a_bad_store_address(workspace, capsys, monkeypatch, address, complaint):
+    def no_client(*_args, **_kwargs):
+        raise AssertionError("a store client was made")
+
+    monkeypatch.setattr(netstore, "StoreClient", no_client)
+    assert main(["verify", "challenge", "--connect", address, "--device", "dev.tltdev"]) == 2
+    assert capsys.readouterr().err == f"UsageError: argument --connect: {complaint}\n"
+
+
 def test_serve_and_remote_challenge(workspace, capsys):
     _provision(workspace, capsys)
     env = dict(os.environ)

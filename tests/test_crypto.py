@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import hashlib
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +113,30 @@ def test_key_validation():
 def test_secret_key_repr_hides_bytes(rng):
     _, sk = crypto.generate_keypair(rng)
     assert sk.data.hex() not in repr(sk)
+    assert repr(sk) == "SecretKey(suite_id=1)"  # nor the parsed key
+
+
+def test_secret_keys_with_equal_bytes_are_equal(rng):
+    _, sk = crypto.generate_keypair(rng)
+    twin = crypto.SecretKey(sk.suite_id, bytes(sk.data))
+    assert twin == sk
+    assert hash(twin) == hash(sk)
+    assert twin != crypto.SecretKey(sk.suite_id, bytes(32))
+
+
+@pytest.mark.parametrize("suite_id, data", [(0x02, b"\x00" * 32), (0x01, b""), (0x01, b"\x00" * 31)])
+def test_secret_key_validation(suite_id, data):
+    with pytest.raises(InvalidKey):
+        crypto.SecretKey(suite_id, data)
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda sk: pickle.loads(pickle.dumps(sk))])
+def test_secret_key_copies_sign_alike(rng, clone):
+    pk, sk = crypto.generate_keypair(rng)
+    twin = clone(sk)
+    assert twin == sk
+    assert crypto.sign(twin, b"attestation") == crypto.sign(sk, b"attestation")
+    assert crypto.public_key_of(twin) == pk
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,15 @@ def test_client_lookups_match_in_process(stack):
         )
 
 
+def test_stop_returns_promptly(stack):
+    server = StoreServer(stack.store, port=0)
+    server.start()
+    assert _raw_query(server.address, "DEV") == "ERR BADREQ"  # the serve loop is polling
+    started = time.monotonic()
+    server.stop()
+    assert time.monotonic() - started < 0.25
+
+
 def test_client_not_found(stack, rng):
     with StoreServer(stack.store, port=0) as server:
         host, port = server.address

@@ -403,6 +403,33 @@ def test_load_rejects_uppercase_hex(tmp_path):
     assert exc_info.value.seq == 2
 
 
+def test_load_rejects_document_text_that_is_not_lowercase_hex(tmp_path, stack):
+    st = Store(stack.root)
+    st.register("manufacturer", stack.mcrt)
+    path = tmp_path / "two.tltlog"
+    st.persist(path)
+    root_line, mfr_line = path.read_text().splitlines()
+    kind, seq, hexpart = mfr_line.split(" ")
+    assert "a" in hexpart
+    bad_texts = [
+        "",
+        hexpart[:-1],
+        hexpart.upper(),
+        hexpart.replace("a", "A", 1),
+        hexpart + "\r",
+        *(hexpart[:2] + space + hexpart[2:] for space in "\r\t\x0b"),
+        hexpart[:4] + "zz" + hexpart[6:],
+        "0x" + hexpart,
+    ]
+    bad = tmp_path / "bad.tltlog"
+    for text in bad_texts:
+        bad.write_text(f"{root_line}\n{kind} {seq} {text}\n")
+        with pytest.raises(CorruptLog) as exc_info:
+            load_store(bad)
+        assert exc_info.value.seq == 1, repr(text)
+        assert str(exc_info.value) == "record 1: document bytes are not lowercase hex", repr(text)
+
+
 def test_load_rejects_kind_that_does_not_name_the_document(tmp_path):
     _, _, path = _populated_store(tmp_path)
     lines = path.read_text().splitlines()
