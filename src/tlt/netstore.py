@@ -17,9 +17,10 @@ Responses:
 
 DEV payload: len(4, big-endian) || device certificate || len(4) ||
 manufacturer certificate. The client raises ParseError unless the second is
-the certificate the first names as its issuer (documents.issuer_key). STATE
-payload: current flag(1) || inst_ref(4) || cfg_ref(4, 0xffffffff when none) ||
-cfg_seq(8) || firmware metadata (UTF-8).
+the certificate the first names as its issuer (documents.issuer_key) and the
+first names the UUID asked for. STATE payload: current flag(1) || firmware
+metadata (UTF-8). The client raises ParseError on an empty payload or a flag
+other than 0 or 1.
 
 The server is read-only: all writes happen in the owning process before it
 starts serving, which keeps the store's single-writer contract trivially
@@ -36,7 +37,6 @@ from . import documents
 from .errors import MalformedDocument, NotFound, ParseError, TltError
 from .store import DeviceView, StateView, Store
 
-_NO_REF = 0xFFFFFFFF
 # The longest valid request (STATE) is 104 bytes with its newline.
 MAX_REQUEST_LINE = 1024
 # Certificate info strings are user text, so a DEV answer has no fixed size;
@@ -72,40 +72,23 @@ def decode_device_payload(payload: bytes, uuid: bytes) -> DeviceView:
         dcrt, mcrt = documents.decode(dcrt_bytes), documents.decode(mcrt_bytes)
         if dcrt.doc_type != documents.DOC_DEVICE or documents.issuer_key(dcrt) != documents.certificate_key(mcrt):
             raise ParseError("device payload is not a device certificate followed by its issuer's")
-        view = DeviceView.from_certificates(dcrt, mcrt)
+        if documents.subject_uuid(dcrt) != bytes(uuid):
+            raise ParseError("device certificate is for another UUID")
+        return DeviceView.from_certificates(dcrt, mcrt)
     except MalformedDocument as exc:
         raise ParseError(f"malformed device payload: {exc}") from None
-    if view.uuid != bytes(uuid):
-        raise ParseError("device certificate is for another UUID")
-    return view
 
 
 def encode_state_payload(view: StateView) -> bytes:
-    inst_ref = view.inst_ref if view.inst_ref is not None else _NO_REF
-    cfg_ref = view.cfg_ref if view.cfg_ref is not None else _NO_REF
-    return (
-        bytes([1 if view.current else 0])
-        + inst_ref.to_bytes(4, "big")
-        + cfg_ref.to_bytes(4, "big")
-        + view.cfg_seq.to_bytes(8, "big")
-        + view.fw_meta.encode()
-    )
+    return bytes([view.current]) + view.fw_meta.encode()
 
 
-def decode_state_payload(payload: bytes, uuid: bytes, state_digest: bytes) -> StateView:
-    if len(payload) < 17:
-        raise ParseError("truncated state payload")
-    inst_ref = int.from_bytes(payload[1:5], "big")
-    cfg_ref = int.from_bytes(payload[5:9], "big")
-    return StateView(
-        uuid=bytes(uuid),
-        state_digest=bytes(state_digest),
-        fw_meta=payload[17:].decode(errors="replace"),
-        cfg_seq=int.from_bytes(payload[9:17], "big"),
-        current=payload[0] == 1,
-        inst_ref=None if inst_ref == _NO_REF else inst_ref,
-        cfg_ref=None if cfg_ref == _NO_REF else cfg_ref,
-    )
+def decode_state_payload(payload: bytes) -> StateView:
+    if not payload:
+        raise ParseError("empty state payload")
+    if payload[0] > 1:
+        raise ParseError(f"state payload has current flag {payload[0]}, expected 0 or 1")
+    return StateView(current=payload[0] == 1, fw_meta=payload[1:].decode(errors="replace"))
 
 
 def handle_request_line(store: Store, line: str) -> str:
@@ -226,4 +209,4 @@ class StoreClient:
 
     def lookup_state(self, uuid: bytes, state_digest: bytes) -> StateView:
         payload = self._payload(f"STATE {bytes(uuid).hex()} {bytes(state_digest).hex()}")
-        return decode_state_payload(payload, uuid, state_digest)
+        return decode_state_payload(payload)

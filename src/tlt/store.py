@@ -50,39 +50,24 @@ class StoreRecord:
 
 @dataclass(frozen=True)
 class DeviceView:
-    """What a verifier learns about a registered device."""
+    """What a verifier learns about a registered device: its key and certificate chain."""
 
-    uuid: bytes
-    dinf: str
     public_key: crypto.PublicKey
-    mfr_info: str
     certificate: Document
     mfr_certificate: Document
 
     @classmethod
     def from_certificates(cls, dcrt: Document, mcrt: Document) -> DeviceView:
-        """View of a device certificate and its issuer; the UUID is the certificate's."""
-        return cls(
-            uuid=documents.subject_uuid(dcrt),
-            dinf=dcrt.field(documents.DEV_INFO).decode(errors="replace"),
-            public_key=documents.embedded_public_key(dcrt),
-            mfr_info=mcrt.field(documents.MFR_INFO).decode(errors="replace"),
-            certificate=dcrt,
-            mfr_certificate=mcrt,
-        )
+        """View of a device certificate and its issuer; the key is the certificate's."""
+        return cls(documents.embedded_public_key(dcrt), dcrt, mcrt)
 
 
 @dataclass(frozen=True)
 class StateView:
     """What a verifier learns about a reported state digest."""
 
-    uuid: bytes
-    state_digest: bytes
-    fw_meta: str
-    cfg_seq: int
     current: bool
-    inst_ref: int | None = None
-    cfg_ref: int | None = None
+    fw_meta: str
 
 
 class Store:
@@ -98,8 +83,8 @@ class Store:
         self._firmware: dict[bytes, int] = {}    # doc digest -> seq
         # uuid -> (current state digest, installation seq, configuration seq or None)
         self._current: dict[bytes, tuple[bytes, int, int | None]] = {}
-        # (uuid, state digest) -> (inst_ref, cfg_ref), for every state a device has had
-        self._state_index: dict[tuple[bytes, bytes], tuple[int, int | None]] = {}
+        # (uuid, state digest) -> installation seq, for every state a device has had
+        self._state_index: dict[tuple[bytes, bytes], int] = {}
 
     # -- registration ------------------------------------------------------
 
@@ -153,7 +138,7 @@ class Store:
                     raise ConstraintViolation(f"configuration sequence must exceed {latest_seq}")
                 inst_doc, cfg_ref, cfg_doc = self.records[inst_ref].doc, seq, doc
             digest = documents.state_digest(inst_doc, cfg_doc, uuid)
-            self._state_index[(uuid, digest)] = (inst_ref, cfg_ref)
+            self._state_index[(uuid, digest)] = inst_ref
             self._current[uuid] = (digest, inst_ref, cfg_ref)
         self.records.append(StoreRecord(kind, doc, seq))
         return seq
@@ -180,26 +165,14 @@ class Store:
         return DeviceView.from_certificates(dcrt, *self._resolve_intermediates(dcrt))
 
     def lookup_state(self, uuid: bytes, state_digest: bytes) -> StateView:
-        refs = self._state_index.get((bytes(uuid), bytes(state_digest)))
-        if refs is None:
+        uuid, state_digest = bytes(uuid), bytes(state_digest)
+        inst_seq = self._state_index.get((uuid, state_digest))
+        if inst_seq is None:
             raise NotFound("no state entry for this digest")
-        inst_ref, cfg_ref = refs
-        inst_doc = self.records[inst_ref].doc
-        fw_seq = self._firmware[inst_doc.field(documents.INST_FW_DOC_DIGEST)]
-        fw_meta = self.records[fw_seq].doc.field(documents.FW_META).decode(errors="replace")
-        cfg_seq = (
-            documents.config_seq(self.records[cfg_ref].doc)
-            if cfg_ref is not None
-            else 0
-        )
+        fw_seq = self._firmware[self.records[inst_seq].doc.field(documents.INST_FW_DOC_DIGEST)]
         return StateView(
-            uuid=bytes(uuid),
-            state_digest=bytes(state_digest),
-            fw_meta=fw_meta,
-            cfg_seq=cfg_seq,
-            current=self._current.get(bytes(uuid), (None,))[0] == bytes(state_digest),
-            inst_ref=inst_ref,
-            cfg_ref=cfg_ref,
+            current=self._current[uuid][0] == state_digest,
+            fw_meta=self.records[fw_seq].doc.field(documents.FW_META).decode(errors="replace"),
         )
 
     def current_state_digest(self, uuid: bytes) -> bytes:

@@ -42,7 +42,6 @@ class ChallengeSession:
 @dataclass(frozen=True)
 class TrustVerdict:
     uuid: bytes
-    identity: DeviceView | None
     state_check: StateCheck
     gate: bool
     reason: str
@@ -55,7 +54,7 @@ class TrustVerdict:
 
 
 def parse_verdict_line(line: str) -> TrustVerdict:
-    """Inverse of TrustVerdict.render (identity is not carried)."""
+    """Inverse of TrustVerdict.render."""
     parts = line.strip().split(" ", 4)
     if len(parts) != 5 or parts[0] != "VERDICT":
         raise ValueError("not a VERDICT line")
@@ -65,7 +64,6 @@ def parse_verdict_line(line: str) -> TrustVerdict:
         raise ValueError(f"VERDICT line lacks {', '.join(sorted(missing))}")
     return TrustVerdict(
         uuid=bytes.fromhex(fields["uuid"]),
-        identity=None,
         state_check=StateCheck(fields["state"]),
         gate=fields["gate"] == "1",
         reason=fields["reason"],
@@ -111,7 +109,7 @@ class Verifier:
         del self._sessions[session.uuid]
 
         def verdict(check: StateCheck, reason: str, gate: bool = False) -> TrustVerdict:
-            return TrustVerdict(session.uuid, device_view, check, gate, reason)
+            return TrustVerdict(session.uuid, check, gate, reason)
 
         if device_view is None:
             return verdict(StateCheck.UNKNOWN_DEVICE, "device is not registered")

@@ -26,7 +26,7 @@ class Stack:
     inst: documents.Document
 
 
-def build_stack(seed: int = 1234, register_install: bool = True) -> Stack:
+def build_stack(seed: int = 1234) -> Stack:
     rng = crypto.SeededRandomSource(seed)
     authority_pk, authority_sk = crypto.generate_keypair(rng)
     root = documents.make_root_certificate("Test Authority", authority_pk, authority_sk)
@@ -44,8 +44,7 @@ def build_stack(seed: int = 1234, register_install: bool = True) -> Stack:
     store.register("device", dcrt)
 
     inst = dev.install_firmware(fw_doc, fw_image, [mcrt], "slot=0")
-    if register_install:
-        store.register("installation", inst)
+    store.register("installation", inst)
     return Stack(rng, authority_sk, root, store, mfr_sk, mcrt, fw_image, fw_doc, dev, dcrt, inst)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tlt import crypto, netstore, transport
+from tlt import crypto, documents, netstore, transport
 from tlt.cli import main
 from tlt.device import load_device
 from tlt.netstore import StoreClient
@@ -189,7 +189,7 @@ def test_serve_and_remote_challenge(workspace, capsys):
 
             dev = load_device(workspace / "dev.tltdev")
             view = StoreClient("127.0.0.1", port).lookup_device(dev.uuid)
-            assert view.dinf == "smart lock"
+            assert view.certificate.field(documents.DEV_INFO) == b"smart lock"
 
             assert main(["verify", "challenge", "--connect", f"127.0.0.1:{port}",
                          "--device", "dev.tltdev", "--auto-accept"]) == 0

@@ -77,8 +77,33 @@ def test_state_request_round_trip(stack):
     digest = stack.dev.compute_state_digest()
     response = handle_request_line(stack.store, f"STATE {stack.dev.uuid.hex()} {digest.hex()}")
     assert response.startswith("OK ")
-    view = netstore.decode_state_payload(bytes.fromhex(response[3:]), stack.dev.uuid, digest)
+    view = netstore.decode_state_payload(bytes.fromhex(response[3:]))
     assert view == stack.store.lookup_state(stack.dev.uuid, digest)
+
+
+def test_state_answer_is_current_flag_then_firmware_metadata(stack):
+    """The STATE answer carries exactly current(1) || fw_meta."""
+    old_digest = stack.dev.compute_state_digest()
+    fw_meta = stack.fw_doc.field(documents.FW_META)
+    request = f"STATE {stack.dev.uuid.hex()} {old_digest.hex()}"
+    assert handle_request_line(stack.store, request) == "OK " + (b"\x01" + fw_meta).hex()
+
+    stack.store.register("configuration", stack.dev.apply_configuration(b"newer", 1))
+    assert handle_request_line(stack.store, request).startswith("OK 00")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [b"", b"\x02" + bytes(16), b"\xff" + bytes(16) + b"lock-9000 v1.0"],
+    ids=["empty", "flag-2", "flag-ff"],
+)
+def test_bad_state_payload_rejected(stack, payload):
+    """A STATE payload that is empty or whose flag is neither 0 nor 1 is a ParseError, never a verdict."""
+    with pytest.raises(ParseError):
+        netstore.decode_state_payload(payload)
+    with _stand_in(b"OK " + payload.hex().encode() + b"\n") as addr:
+        with pytest.raises(ParseError):
+            StoreClient(*addr).lookup_state(stack.dev.uuid, stack.dev.compute_state_digest())
 
 
 def test_not_found_and_bad_requests(stack, rng):

@@ -37,7 +37,7 @@ def test_scan_malformed_frame():
 
 def test_scan_feeds_lookup(stack):
     uuid = scan(stack.dev.advertise())
-    assert stack.store.lookup_device(uuid).uuid == stack.dev.uuid
+    assert documents.subject_uuid(stack.store.lookup_device(uuid).certificate) == stack.dev.uuid
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +82,6 @@ def test_honest_device_verified_current(stack, rng):
     verdict = _attest(stack, Verifier(rng))
     assert verdict.state_check == StateCheck.VERIFIED_CURRENT
     assert verdict.gate
-    assert verdict.identity.dinf == "lock-9000 smart lock"
 
 
 def test_unregistered_state_detected(stack, rng):
