@@ -25,6 +25,7 @@ builds one deterministic randomness source that main() hands to every draw
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -317,7 +318,8 @@ def _cmd_verify_scan(args) -> int:
 
 def _cmd_verify_challenge(args) -> int:
     store_view = netstore.StoreClient(*args.connect) if args.connect else store_mod.load_store(_need_store(args))
-    verdict = verifier_mod.run_exchange(store_view, _load_device(args), args.rng)
+    with store_view if args.connect else contextlib.nullcontext():
+        verdict = verifier_mod.run_exchange(store_view, _load_device(args), args.rng)
     print(verdict.render())
     accepted = verifier_mod.trust_decision(verdict, args.auto_accept)
     print("ACCEPT" if accepted else "REJECT")

@@ -5,10 +5,13 @@ Requests (one per line, space-separated, hex arguments):
     DEV <uuid-hex>
     STATE <uuid-hex> <digest-hex>
 
-A line over MAX_REQUEST_LINE bytes, newline included, gets BADREQ and a hang-up.
-A connection that sends nothing for IDLE_TIMEOUT seconds is closed without a
-reply. The client rejects a response line over MAX_RESPONSE_LINE bytes,
-newline included, instead of buffering it.
+A connection carries any number of request lines; one over MAX_REQUEST_LINE
+bytes, newline included, gets BADREQ and a hang-up. One silent for IDLE_TIMEOUT
+seconds is closed without a reply; StoreServer.stop() closes the rest. A
+StoreClient sends one lookup at a time, under a lock, down one connection and
+drops it after anything but a reply line of at most MAX_RESPONSE_LINE bytes,
+newline included. It resends once, on a new one, if a reused connection ends
+before any reply byte (as after the idle drop). close() or `with` closes it.
 
 Responses:
 
@@ -22,16 +25,18 @@ first names the UUID asked for. STATE payload: current flag(1) || firmware
 metadata (UTF-8). The client raises ParseError on an empty payload or a flag
 other than 0 or 1.
 
-The server is read-only: all writes happen in the owning process before it
-starts serving, which keeps the store's single-writer contract trivially
-satisfied.
+The server is read-only, so a resend is safe: all writes happen in the owning
+process before it starts serving, which also keeps the store's single-writer
+contract.
 """
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import socketserver
 import threading
+import weakref
 
 from . import documents
 from .errors import MalformedDocument, NotFound, ParseError, TltError
@@ -115,19 +120,16 @@ def handle_request_line(store: Store, line: str) -> str:
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         self.connection.settimeout(IDLE_TIMEOUT)
-        try:
+        with contextlib.suppress(TimeoutError, ConnectionError):  # idle or reset: the socket is closed after handle()
             while raw := self.rfile.readline(MAX_REQUEST_LINE + 1):
                 too_long = len(raw) > MAX_REQUEST_LINE
                 line = raw.decode(errors="replace").rstrip("\r\n")
                 if not line and not too_long:
                     continue
                 response = "ERR BADREQ" if too_long else handle_request_line(self.server.tlt_store, line)
-                self.wfile.write((response + "\n").encode())
-                self.wfile.flush()
+                self.wfile.write((response + "\n").encode())  # unbuffered: sent before the next read
                 if too_long:
                     return  # the rest of the line is never read
-        except TimeoutError:
-            return  # an idle client is dropped; the server closes the socket after handle()
 
 
 class StoreServer(socketserver.ThreadingTCPServer):
@@ -138,9 +140,9 @@ class StoreServer(socketserver.ThreadingTCPServer):
     """
 
     allow_reuse_address = True
-    daemon_threads = True
 
     def __init__(self, store: Store, host: str = "127.0.0.1", port: int = 0):
+        self._open = weakref.WeakSet()  # accepted sockets; set before a failed bind calls server_close()
         super().__init__((host, port), _Handler)
         self.tlt_store = store
         self._thread: threading.Thread | None = None
@@ -159,6 +161,16 @@ class StoreServer(socketserver.ThreadingTCPServer):
             self._thread.join(timeout=5)
         self.server_close()
 
+    def process_request(self, request, client_address):
+        self._open.add(request)
+        super().process_request(request, client_address)
+
+    def server_close(self) -> None:
+        for request in list(self._open):  # so the handler threads joined below end now
+            with contextlib.suppress(OSError):
+                request.shutdown(socket.SHUT_RDWR)
+        super().server_close()
+
     def __enter__(self):
         self.start()
         return self
@@ -171,8 +183,8 @@ class StoreServer(socketserver.ThreadingTCPServer):
 # Client
 # ---------------------------------------------------------------------------
 
-class StoreClient:
-    """Store query interface over the line protocol.
+class StoreClient(contextlib.AbstractContextManager):
+    """Store query interface over the line protocol, on one reused connection.
 
     Exposes the same lookup_device/lookup_state surface as Store, so a
     verifier can use either interchangeably.
@@ -181,12 +193,38 @@ class StoreClient:
     def __init__(self, host: str, port: int, timeout: float = 5.0):
         self._addr = (host, port)
         self._timeout = timeout
+        self._lock = threading.RLock()  # one request in flight; re-entered when a lookup calls close()
+        self._sock = self._reply = None  # the connection and its buffered reader
+
+    def close(self) -> None:
+        with self._lock:
+            if self._sock is not None:
+                self._reply.close()
+                self._sock.close()
+                self._sock = self._reply = None
+
+    __del__ = close  # a client nobody closed is closed quietly
+
+    def __exit__(self, *exc):
+        self.close()
 
     def _query(self, request: str) -> str:
-        with socket.create_connection(self._addr, timeout=self._timeout) as sock:
-            sock.sendall((request + "\n").encode())
-            with sock.makefile("rb") as reply:
-                raw = reply.readline(MAX_RESPONSE_LINE + 1)
+        raw = b""
+        with self._lock:
+            try:
+                for reused in (self._sock is not None, False):  # a resend goes on a new connection
+                    if not reused:
+                        self.close()
+                        self._sock = socket.create_connection(self._addr, timeout=self._timeout)
+                        self._reply = self._sock.makefile("rb")
+                    with contextlib.suppress(*((ConnectionResetError, BrokenPipeError) if reused else ())):
+                        self._sock.sendall((request + "\n").encode())
+                        if self._reply.peek(1) or not reused:
+                            break  # a reply has begun, or this connection is new
+                raw = self._reply.readline(MAX_RESPONSE_LINE + 1)
+            finally:
+                if not raw.endswith(b"\n"):
+                    self.close()
         if len(raw) > MAX_RESPONSE_LINE:
             raise TltError("store response too long")
         return raw.decode(errors="replace").rstrip("\r\n")

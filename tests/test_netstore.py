@@ -3,10 +3,12 @@ from __future__ import annotations
 import contextlib
 import os
 import socket
+import struct
 import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -54,6 +56,19 @@ def _stand_in(reply: bytes):
         thread.join(timeout=5)
         listener.close()
     assert not thread.is_alive()
+
+
+def _count_accepts(server: StoreServer) -> list:
+    """Record each connection `server` accepts from now on, as bench/tracer.py counts them."""
+    accepts = []
+    get_request = server.get_request
+
+    def counted():
+        accepts.append(None)
+        return get_request()
+
+    server.get_request = counted
+    return accepts
 
 
 def _dev_payload(*docs) -> bytes:
@@ -138,6 +153,13 @@ def test_stop_returns_promptly(stack):
     assert time.monotonic() - started < 0.25
 
 
+def test_busy_port_is_an_os_error(stack):
+    """A failed bind raises its OSError; server_close(), which it calls, must not fail first."""
+    with StoreServer(stack.store, port=0) as server:
+        with pytest.raises(OSError):
+            StoreServer(stack.store, port=server.address[1])
+
+
 def test_client_not_found(stack, rng):
     with StoreServer(stack.store, port=0) as server:
         host, port = server.address
@@ -176,6 +198,117 @@ def test_server_drops_idle_connection(stack, monkeypatch, capfd):
         client = StoreClient(*server.address)
         assert client.lookup_device(stack.dev.uuid) == stack.store.lookup_device(stack.dev.uuid)
     assert capfd.readouterr().err == ""
+
+
+def test_server_ends_quietly_when_a_client_resets(stack, capfd):
+    """A client that resets its connection mid-conversation leaves no traceback on stderr."""
+    with StoreServer(stack.store, port=0) as server:
+        ended = threading.Event()
+        shutdown_request = server.shutdown_request
+
+        def note_end(request):
+            shutdown_request(request)
+            ended.set()
+
+        server.shutdown_request = note_end  # called after the handler, and after any traceback
+        with socket.create_connection(server.address, timeout=2) as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))  # close sends RST
+            sock.sendall(f"DEV {stack.dev.uuid.hex()}\n".encode() * 2)
+        assert ended.wait(5)
+        assert capfd.readouterr().err == ""
+        with StoreClient(*server.address) as client:
+            assert client.lookup_device(stack.dev.uuid) == stack.store.lookup_device(stack.dev.uuid)
+
+
+def test_one_client_makes_one_connection(stack):
+    """100 DEV and 100 STATE lookups go down one connection."""
+    digest = stack.dev.compute_state_digest()
+    with StoreServer(stack.store, port=0) as server:
+        accepts = _count_accepts(server)
+        with StoreClient(*server.address) as client:
+            for _ in range(100):
+                assert client.lookup_device(stack.dev.uuid) == stack.store.lookup_device(stack.dev.uuid)
+                assert client.lookup_state(stack.dev.uuid, digest) == stack.store.lookup_state(stack.dev.uuid, digest)
+    assert len(accepts) == 1
+
+
+def test_client_reconnects_after_the_idle_drop(stack, monkeypatch):
+    """The server drops an idle connection; the next lookup resends on a new one."""
+    monkeypatch.setattr(netstore, "IDLE_TIMEOUT", 0.2)
+    digest = stack.dev.compute_state_digest()
+    with StoreServer(stack.store, port=0) as server:
+        accepts = _count_accepts(server)
+        with StoreClient(*server.address) as client:
+            assert client.lookup_device(stack.dev.uuid) == stack.store.lookup_device(stack.dev.uuid)
+            time.sleep(0.5)
+            assert client.lookup_state(stack.dev.uuid, digest) == stack.store.lookup_state(stack.dev.uuid, digest)
+    assert len(accepts) == 2
+
+
+@pytest.mark.parametrize("fault", ["cut-mid-line", "over-long"])
+def test_client_never_reuses_a_connection_after_a_bad_reply(stack, monkeypatch, fault):
+    """The first connection answers once, badly, and then says nothing; later ones answer honestly."""
+    honest = (handle_request_line(stack.store, f"DEV {stack.dev.uuid.hex()}") + "\n").encode()
+    # over-long: a client that kept reading this stream would next read the "\n" and then a stale answer
+    first = honest[: len(honest) // 2] if fault == "cut-mid-line" else b"O" * 65_537 + b"\n" + honest
+    handle = netstore._Handler.handle
+
+    def bad_first(handler):
+        if len(accepts) > 1:
+            return handle(handler)
+        handler.rfile.readline()
+        handler.wfile.write(first)
+        handler.rfile.read()  # silent until the client hangs up or the server stops
+
+    monkeypatch.setattr(netstore._Handler, "handle", bad_first)
+    with StoreServer(stack.store, port=0) as server:
+        accepts = _count_accepts(server)
+        with StoreClient(*server.address, timeout=0.5) as client:
+            with pytest.raises(TimeoutError if fault == "cut-mid-line" else TltError):
+                client.lookup_device(stack.dev.uuid)
+            assert client.lookup_device(stack.dev.uuid) == stack.store.lookup_device(stack.dev.uuid)
+    assert len(accepts) == 2
+
+
+def test_threads_sharing_a_client_get_their_own_answers(stack):
+    """Four threads, one client: each thread's answers are for its own device, as in process."""
+    devices = [stack.dev]
+    for i in range(3):
+        dev, dcrt = device.device_birth(stack.mcrt, stack.mfr_sk, stack.root, f"lock {i}", stack.rng)
+        stack.store.register("device", dcrt)
+        stack.store.register("installation", dev.install_firmware(stack.fw_doc, stack.fw_image, [stack.mcrt], "slot=0"))
+        devices.append(dev)
+
+    def look_up(dev):
+        digest = dev.compute_state_digest()
+        for _ in range(50):
+            assert client.lookup_device(dev.uuid) == stack.store.lookup_device(dev.uuid)
+            assert client.lookup_state(dev.uuid, digest) == stack.store.lookup_state(dev.uuid, digest)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter between threads often, to provoke interleaving
+    try:
+        with StoreServer(stack.store, port=0) as server:
+            accepts = _count_accepts(server)
+            with StoreClient(*server.address) as client, ThreadPoolExecutor(4) as pool:
+                list(pool.map(look_up, devices, timeout=30))  # re-raises the first failure
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(accepts) == 1
+
+
+def test_stopped_server_answers_nothing(stack):
+    """stop() ends the connections still open, so it returns at once and no handler outlives it."""
+    server = StoreServer(stack.store, port=0)
+    server.start()
+    with StoreClient(*server.address) as client:
+        assert client.lookup_device(stack.dev.uuid) == stack.store.lookup_device(stack.dev.uuid)
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 1  # not IDLE_TIMEOUT
+        assert not [t for t in threading.enumerate() if "process_request_thread" in t.name]
+        with pytest.raises(OSError):
+            client.lookup_device(stack.dev.uuid)
 
 
 def test_client_rejects_overlong_response(stack):

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
+from tlt import threats
+from tlt.cli import main
 from tlt.errors import ScenarioError
+from tlt.netstore import StoreClient, StoreServer
 from tlt.threats import CONTROLS, SCENARIO_IDS, THREAT_CONTROL_MAP, run_all, run_scenario
 
 
@@ -73,3 +79,19 @@ def test_unknown_scenario_raises():
 def test_unseeded_run_passes():
     report = run_scenario("CTRL")
     assert report.passed
+
+
+def test_seeded_report_is_the_same_over_the_socket(monkeypatch, capsys):
+    """Controls C01-C06 hold when each scenario's store is queried through StoreServer and StoreClient."""
+    exchange, served = threats.run_exchange, []
+
+    def over_socket(store, *args, **kwargs):
+        with StoreServer(store) as server, StoreClient(*server.address) as client:
+            served.append(store)
+            return exchange(client, *args, **kwargs)
+
+    monkeypatch.setattr(threats, "run_exchange", over_socket)
+    assert main(["--seed", "42", "threats", "run"]) == 0
+    golden = json.loads(Path(__file__).with_name("golden_seeded.json").read_text())
+    assert capsys.readouterr().out == golden["threats_seed_42"]
+    assert len(served) >= len(SCENARIO_IDS)
