@@ -4,11 +4,13 @@ A device stores only what it operationally needs: its UUID and keypair, the
 digest of its own certificate, a copy of the trusted root, digests of
 documents it has itself verified, and the full installation/configuration
 documents required to recompute its state digest. Everything else lives in
-the central store.
+the central store. The boot status is never stored: simulate_boot derives it
+from the rest of the state.
 
 Device state persists to `.tltdev` files (binary, documented in
 save_device); the secret key is written separately as a `.tltkey` file and
-never appears in the state file.
+never appears in the state file. Loading a file boots the device, so a
+tampered file loads as INTEGRITY_FAILED and the device refuses to attest.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
 )
 
 _DEV_MAGIC = b"TLTD"
-_DEV_VERSION = 0x01
+_DEV_VERSION = 0x02
 
 RESPONSE_LEN = crypto.DIGEST_LEN + crypto.NONCE_LEN + crypto.NONCE_LEN + crypto.SIGNATURE_LEN
 
@@ -51,7 +53,7 @@ class DeviceState:
     cert_digest: bytes
     trusted_root: Document
     verified_digests: set[bytes] = field(default_factory=set)
-    fw_slot: tuple[Document, bytes] | None = None  # (installation doc, firmware doc digest)
+    installation: Document | None = None
     cfg: Document | None = None
     boot_status: BootStatus = BootStatus.UNPROGRAMMED
     rng: object = field(default=None, repr=False, compare=False)
@@ -90,7 +92,7 @@ class DeviceState:
         fw_digest = documents.doc_digest(fw_doc)
         inst = documents.make_installation_document(fw_doc, self.uuid, instinfo, self.secret_key)
         self.verified_digests.add(fw_digest)
-        self.fw_slot = (inst, fw_digest)
+        self.installation = inst
         self.boot_status = BootStatus.OPERATIONAL
         return inst
 
@@ -110,8 +112,7 @@ class DeviceState:
     def compute_state_digest(self) -> bytes:
         """Digest over the installation and configuration documents."""
         self._require_operational()
-        inst, _ = self.fw_slot
-        return documents.state_digest(inst, self.cfg, self.uuid)
+        return documents.state_digest(self.installation, self.cfg, self.uuid)
 
     def advertise(self) -> bytes:
         """Broadcast frame carrying this device's UUID."""
@@ -136,18 +137,19 @@ class DeviceState:
     def simulate_boot(self) -> BootStatus:
         """Re-run boot integrity checks over the stored state documents.
 
-        A device whose stored installation or configuration no longer
-        verifies under its own key refuses to attest until reprovisioned.
+        A device whose trusted root no longer self-verifies, or whose stored
+        installation or configuration no longer verifies under its own key,
+        refuses to attest until reprovisioned.
         """
-        if self.fw_slot is None:
+        inst = self.installation
+        if inst is None:
             self.boot_status = BootStatus.UNPROGRAMMED
             return self.boot_status
-        inst, fw_digest = self.fw_slot
         ok = (
-            inst.doc_type == documents.DOC_INSTALLATION
+            documents.verify_chain([self.trusted_root], self.trusted_root)
+            and inst.doc_type == documents.DOC_INSTALLATION
             and documents.subject_uuid(inst) == self.uuid
-            and inst.field(documents.INST_FW_DOC_DIGEST) == fw_digest
-            and fw_digest in self.verified_digests
+            and inst.field(documents.INST_FW_DOC_DIGEST) in self.verified_digests
             and documents.signatures_verify(inst, self.public_key) is None
         )
         if ok and self.cfg is not None:
@@ -192,14 +194,13 @@ def device_birth(
 def save_device(dev: DeviceState, path) -> None:
     """Write the `.tltdev` state file (everything except the secret key).
 
-    Layout: magic(4) version(1) boot_status(1) uuid(16) suite(1) pubkey(32)
-    cert_digest(32), root as len(4)+bytes, digest count(4) + 32-byte digests
-    (sorted), fw flag(1) [inst len(4)+bytes, fw doc digest(32)], cfg flag(1)
-    [len(4)+bytes].
+    Layout: magic(4) version(1) uuid(16) suite(1) pubkey(32) cert_digest(32),
+    root as len(4)+bytes, digest count(4) + 32-byte digests (sorted), then
+    installation and configuration, each as flag(1) [len(4)+bytes]. The boot
+    status is not stored; load_device re-runs the boot check.
     """
     out = bytearray(_DEV_MAGIC)
     out.append(_DEV_VERSION)
-    out.append(dev.boot_status.value)
     out += dev.uuid
     out.append(dev.public_key.suite_id)
     out += dev.public_key.data
@@ -210,27 +211,19 @@ def save_device(dev: DeviceState, path) -> None:
     out += len(dev.verified_digests).to_bytes(4, "big")
     for d in sorted(dev.verified_digests):
         out += d
-    if dev.fw_slot is not None:
-        inst, fw_digest = dev.fw_slot
-        inst_bytes = documents.encode_canonical(inst)
+    for doc in (dev.installation, dev.cfg):
+        if doc is None:
+            out.append(0)
+            continue
+        doc_bytes = documents.encode_canonical(doc)
         out.append(1)
-        out += len(inst_bytes).to_bytes(4, "big")
-        out += inst_bytes
-        out += fw_digest
-    else:
-        out.append(0)
-    if dev.cfg is not None:
-        cfg_bytes = documents.encode_canonical(dev.cfg)
-        out.append(1)
-        out += len(cfg_bytes).to_bytes(4, "big")
-        out += cfg_bytes
-    else:
-        out.append(0)
+        out += len(doc_bytes).to_bytes(4, "big")
+        out += doc_bytes
     Path(path).write_bytes(bytes(out))
 
 
 def load_device(path, key_path=None, rng=None) -> DeviceState:
-    """Load a `.tltdev` file plus its secret key (sibling `.tltkey` by default)."""
+    """Load a `.tltdev` file plus its secret key (sibling `.tltkey` by default), then boot it."""
     path = Path(path)
     raw = path.read_bytes()
     r = _Reader(raw)
@@ -238,42 +231,33 @@ def load_device(path, key_path=None, rng=None) -> DeviceState:
         raise MalformedDocument("not a device state file")
     if r.u8() != _DEV_VERSION:
         raise MalformedDocument("unsupported device state version")
-    try:
-        status = BootStatus(r.u8())
-    except ValueError:
-        raise MalformedDocument("bad boot status byte") from None
     uuid = r.take(crypto.UUID_LEN)
     suite = r.u8()
     pk = PublicKey(suite, r.take(crypto.PUBLIC_KEY_LEN))
     cert_digest = r.take(crypto.DIGEST_LEN)
     root = documents.decode(r.take(r.u32()))
     digests = {r.take(crypto.DIGEST_LEN) for _ in range(r.u32())}
-    fw_slot = None
-    if r.u8():
-        inst = documents.decode(r.take(r.u32()))
-        fw_slot = (inst, r.take(crypto.DIGEST_LEN))
-    cfg = documents.decode(r.take(r.u32())) if r.u8() else None
+    inst, cfg = (documents.decode(r.take(r.u32())) if r.u8() else None for _ in range(2))
     if not r.done():
         raise MalformedDocument("trailing bytes in device state file")
-    if status == BootStatus.OPERATIONAL and fw_slot is None:
-        raise MalformedDocument("operational device state has no firmware slot")
 
     key_path = Path(key_path) if key_path else path.with_suffix(crypto.SECRET_KEY_EXT)
     sk = crypto.load_secret_key(key_path)
     if crypto.public_key_of(sk) != pk:
         raise InvalidKey("key file does not match the stored public key")
-    return DeviceState(
+    dev = DeviceState(
         uuid=uuid,
         public_key=pk,
         secret_key=sk,
         cert_digest=cert_digest,
         trusted_root=root,
         verified_digests=digests,
-        fw_slot=fw_slot,
+        installation=inst,
         cfg=cfg,
-        boot_status=status,
         rng=rng,
     )
+    dev.simulate_boot()
+    return dev
 
 
 class _Reader:

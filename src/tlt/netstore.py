@@ -156,8 +156,8 @@ class StoreServer(socketserver.ThreadingTCPServer):
         self._thread.start()
 
     def stop(self) -> None:
-        self.shutdown()
-        if self._thread is not None:
+        if self._thread is not None:  # shutdown() waits for a serve_forever loop that start() ran
+            self.shutdown()
             self._thread.join(timeout=5)
         self.server_close()
 

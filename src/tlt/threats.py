@@ -116,9 +116,8 @@ def _force_reflash(dev: DeviceState, fw_doc: documents.Document, instinfo: str) 
     on-device verification never runs.
     """
     inst = documents.make_installation_document(fw_doc, dev.uuid, instinfo, dev.secret_key)
-    fw_digest = documents.doc_digest(fw_doc)
-    dev.verified_digests.add(fw_digest)
-    dev.fw_slot = (inst, fw_digest)
+    dev.verified_digests.add(documents.doc_digest(fw_doc))
+    dev.installation = inst
     dev.simulate_boot()
 
 

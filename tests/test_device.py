@@ -14,6 +14,7 @@ from tlt.errors import (
     MalformedDocument,
     NotOperational,
     StaleSequence,
+    TltError,
 )
 
 
@@ -32,7 +33,7 @@ def test_birth_cert_digest_definition(stack):
 def test_birth_starts_unprogrammed(rng, stack):
     dev, _ = device_birth(stack.mcrt, stack.mfr_sk, stack.root, "fresh", rng)
     assert dev.boot_status == BootStatus.UNPROGRAMMED
-    assert dev.fw_slot is None
+    assert dev.installation is None
     assert dev.cfg is None
 
 
@@ -101,7 +102,7 @@ def test_remember_digest_accepts_chain_with_explicit_root(rng, stack):
 # ---------------------------------------------------------------------------
 
 def test_install_happy_path(stack):
-    inst, _ = stack.dev.fw_slot
+    inst = stack.dev.installation
     assert documents.verify_chain([inst, stack.dcrt, stack.mcrt, stack.root], stack.root)
     assert inst.field(documents.INST_FW_DOC_DIGEST) == documents.doc_digest(stack.fw_doc)
     assert stack.dev.boot_status == BootStatus.OPERATIONAL
@@ -119,7 +120,7 @@ def test_install_rejects_impostor_manufacturer(rng, stack):
     dev, _ = device_birth(stack.mcrt, stack.mfr_sk, stack.root, "victim", rng)
     with pytest.raises(ChainInvalid):
         dev.install_firmware(rogue_fw, image, [rogue_mcrt], "slot=0")
-    assert dev.fw_slot is None
+    assert dev.installation is None
     assert dev.boot_status == BootStatus.UNPROGRAMMED
 
 
@@ -129,7 +130,7 @@ def test_install_rejects_tampered_image(rng, stack):
     tampered[10] ^= 0x01
     with pytest.raises(ImageMismatch):
         dev.install_firmware(stack.fw_doc, bytes(tampered), [stack.mcrt], "slot=0")
-    assert dev.fw_slot is None
+    assert dev.installation is None
 
 
 def test_no_unverified_installs(rng, stack):
@@ -144,7 +145,7 @@ def test_no_unverified_installs(rng, stack):
             continue
         with pytest.raises((ChainInvalid, ImageMismatch)):
             dev.install_firmware(doc, stack.fw_image, [stack.mcrt], "slot=0")
-        assert dev.fw_slot is None
+        assert dev.installation is None
         assert dev.verified_digests == set()
 
 
@@ -153,7 +154,7 @@ def test_reinstall_replaces_slot(stack):
     fw2 = documents.sign_firmware(image2, "v2", stack.mfr_sk, stack.mcrt)
     first_digest = stack.dev.compute_state_digest()
     inst2 = stack.dev.install_firmware(fw2, image2, [stack.mcrt], "slot=1")
-    assert stack.dev.fw_slot[0] == inst2
+    assert stack.dev.installation == inst2
     assert stack.dev.compute_state_digest() != first_digest
 
 
@@ -211,7 +212,7 @@ def test_state_digest_requires_operational(rng, stack):
 
 
 def test_state_digest_matches_independent_recomputation(stack):
-    inst, _ = stack.dev.fw_slot
+    inst = stack.dev.installation
     empty_cfg = documents.empty_configuration_document(stack.dev.uuid)
     expected = hashlib.sha256(
         documents.encode_canonical(inst) + documents.encode_canonical(empty_cfg)
@@ -292,7 +293,7 @@ def test_simulate_boot_passes_for_honest_device(stack):
 def test_simulate_boot_detects_foreign_installation(stack, rng):
     _, foreign_sk = crypto.generate_keypair(rng)
     forged = documents.make_installation_document(stack.fw_doc, stack.dev.uuid, "slot=0", foreign_sk)
-    stack.dev.fw_slot = (forged, documents.doc_digest(stack.fw_doc))
+    stack.dev.installation = forged
     assert stack.dev.simulate_boot() == BootStatus.INTEGRITY_FAILED
     with pytest.raises(NotOperational):
         stack.dev.handle_challenge(b"\x00" * 16)
@@ -307,21 +308,56 @@ def test_simulate_boot_unprogrammed(rng, stack):
 # Persistence
 # ---------------------------------------------------------------------------
 
-def test_device_file_round_trip(tmp_path, stack):
-    stack.dev.apply_configuration(b"saved-cfg", 1)
+def _save_and_load(dev, tmp_path):
     path = tmp_path / "dev.tltdev"
-    save_device(stack.dev, path)
-    crypto.save_secret_key(stack.dev.secret_key, tmp_path / "dev.tltkey")
-    loaded = load_device(path)
-    assert loaded.uuid == stack.dev.uuid
-    assert loaded.public_key == stack.dev.public_key
-    assert loaded.cert_digest == stack.dev.cert_digest
-    assert loaded.trusted_root == stack.dev.trusted_root
-    assert loaded.verified_digests == stack.dev.verified_digests
-    assert loaded.fw_slot == stack.dev.fw_slot
-    assert loaded.cfg == stack.dev.cfg
-    assert loaded.boot_status == stack.dev.boot_status
-    assert loaded.compute_state_digest() == stack.dev.compute_state_digest()
+    save_device(dev, path)
+    crypto.save_secret_key(dev.secret_key, tmp_path / "dev.tltkey")
+    return load_device(path)
+
+
+def test_device_file_round_trip(tmp_path, stack, rng):
+    born, _ = device_birth(stack.mcrt, stack.mfr_sk, stack.root, "fresh", rng)
+    stack.dev.apply_configuration(b"saved-cfg", 1)
+    failed, _ = device_birth(stack.mcrt, stack.mfr_sk, stack.root, "failed", rng)
+    failed.install_firmware(stack.fw_doc, stack.fw_image, [stack.mcrt], "slot=0")
+    _, foreign_sk = crypto.generate_keypair(rng)
+    failed.installation = documents.make_installation_document(stack.fw_doc, failed.uuid, "slot=0", foreign_sk)
+    failed.simulate_boot()
+
+    cases = [
+        (born, BootStatus.UNPROGRAMMED),
+        (stack.dev, BootStatus.OPERATIONAL),
+        (failed, BootStatus.INTEGRITY_FAILED),
+    ]
+    for dev, status in cases:
+        loaded = _save_and_load(dev, tmp_path)
+        assert dev.boot_status == loaded.boot_status == status
+        assert loaded == dev
+
+
+def test_device_file_fails_closed_under_every_flip_and_truncation(tmp_path, stack):
+    """Each corrupt file raises, boots to a non-operational status, or attests the honest state."""
+    dev = stack.dev
+    dev.apply_configuration(b"cfg", 1)
+    honest = (dev.uuid, dev.public_key, dev.trusted_root, dev.compute_state_digest())
+    assert _save_and_load(dev, tmp_path).boot_status == BootStatus.OPERATIONAL
+    path = tmp_path / "dev.tltdev"
+    blob = path.read_bytes()
+    flips = (
+        (f"bit {bit} of byte {i} flipped", blob[:i] + bytes([blob[i] ^ 1 << bit]) + blob[i + 1 :])
+        for i in range(len(blob))
+        for bit in range(8)
+    )
+    truncations = ((f"cut to {n} bytes", blob[:n]) for n in range(len(blob)))
+    for case, corrupt in (*flips, *truncations):
+        path.write_bytes(corrupt)
+        try:
+            loaded = load_device(path)
+        except TltError:
+            continue
+        if loaded.boot_status == BootStatus.OPERATIONAL:
+            attested = (loaded.uuid, loaded.public_key, loaded.trusted_root, loaded.compute_state_digest())
+            assert attested == honest, case
 
 
 def test_device_file_excludes_secret_key(tmp_path, stack):
@@ -345,17 +381,5 @@ def test_load_device_rejects_truncation(tmp_path, stack):
     crypto.save_secret_key(stack.dev.secret_key, tmp_path / "dev.tltkey")
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 3])
-    with pytest.raises(MalformedDocument):
-        load_device(path)
-
-
-def test_load_device_rejects_operational_without_firmware(tmp_path, stack, rng):
-    dev, _ = device_birth(stack.mcrt, stack.mfr_sk, stack.root, "bare", rng)
-    path = tmp_path / "dev.tltdev"
-    save_device(dev, path)
-    crypto.save_secret_key(dev.secret_key, tmp_path / "dev.tltkey")
-    blob = bytearray(path.read_bytes())
-    blob[5] = BootStatus.OPERATIONAL.value  # boot-status byte, with no firmware slot behind it
-    path.write_bytes(bytes(blob))
     with pytest.raises(MalformedDocument):
         load_device(path)

@@ -311,6 +311,16 @@ def test_stopped_server_answers_nothing(stack):
             client.lookup_device(stack.dev.uuid)
 
 
+def test_stop_returns_on_a_server_never_started(stack):
+    """stop() without start() only closes the socket: no serve_forever loop ever ran to wait for."""
+    server = StoreServer(stack.store, port=0)
+    stopper = threading.Thread(target=server.stop, daemon=True)  # a hang leaves a daemon, not a stuck suite
+    stopper.start()
+    stopper.join(timeout=2)
+    assert not stopper.is_alive()
+    assert server.socket.fileno() == -1
+
+
 def test_client_rejects_overlong_response(stack):
     """A server that never ends its line is cut off, not buffered."""
     with _stand_in(b"O" * 65_537) as addr:  # one byte over the cap, no newline
