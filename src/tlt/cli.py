@@ -292,21 +292,21 @@ def _cmd_store_serve(args) -> int:
 
 def _cmd_store_dump(args) -> int:
     st = store_mod.load_store(_need_store(args))
-    for rec in st.records:
-        doc = rec.doc
-        if rec.kind == "root":
+    for seq, doc in enumerate(st.records):
+        kind = documents.DOC_TYPE_NAMES[doc.doc_type]
+        if kind == "root":
             detail = doc.field(documents.ROOT_INFO).decode(errors="replace")
-        elif rec.kind == "manufacturer":
+        elif kind == "manufacturer":
             detail = doc.field(documents.MFR_INFO).decode(errors="replace")
-        elif rec.kind == "device":
+        elif kind == "device":
             detail = f"{documents.subject_uuid(doc).hex()} {doc.field(documents.DEV_INFO).decode(errors='replace')}"
-        elif rec.kind == "firmware":
+        elif kind == "firmware":
             detail = doc.field(documents.FW_META).decode(errors="replace")
-        elif rec.kind == "installation":
+        elif kind == "installation":
             detail = documents.subject_uuid(doc).hex()
         else:
             detail = f"{documents.subject_uuid(doc).hex()} seq={documents.config_seq(doc)}"
-        print(f"{rec.seq}\t{rec.kind}\t{documents.doc_digest(doc).hex()[:16]}\t{detail}")
+        print(f"{seq}\t{kind}\t{documents.doc_digest(doc).hex()[:16]}\t{detail}")
     return 0
 
 

@@ -60,13 +60,6 @@ class DeviceState:
 
     # -- helpers ----------------------------------------------------------
 
-    def _full_chain(self, doc: Document, chain) -> list[Document]:
-        """Append the trusted root when the caller's chain stops short of it."""
-        full = [doc, *chain]
-        if full[-1].doc_type != documents.DOC_ROOT:
-            full.append(self.trusted_root)
-        return full
-
     def _require_operational(self):
         if self.boot_status != BootStatus.OPERATIONAL:
             raise NotOperational(f"device is {self.boot_status.name.lower()}")
@@ -78,11 +71,11 @@ class DeviceState:
     ) -> Document:
         """Verify, install, and sign a confirmation of installation.
 
-        The firmware document must chain to the trusted root and the image
-        must match its signed digest; otherwise the firmware slot is left
-        untouched.
+        chain runs from fw_doc's issuer up to, not including, the device's own
+        trusted root. The image must match its signed digest; otherwise the
+        device state is left untouched.
         """
-        result = documents.verify_chain(self._full_chain(fw_doc, chain), self.trusted_root)
+        result = documents.verify_chain([fw_doc, *chain, self.trusted_root], self.trusted_root)
         if not result:
             raise ChainInvalid(result.reason)
         if fw_doc.doc_type != documents.DOC_FIRMWARE:
@@ -195,8 +188,9 @@ def save_device(dev: DeviceState, path) -> None:
     """Write the `.tltdev` state file (everything except the secret key).
 
     Layout: magic(4) version(1) uuid(16) suite(1) pubkey(32) cert_digest(32),
-    root as len(4)+bytes, digest count(4) + 32-byte digests (sorted), then
-    installation and configuration, each as flag(1) [len(4)+bytes]. The boot
+    root as len(4)+bytes, digest count(4) + strictly ascending 32-byte digests,
+    then installation and configuration, each as flag(1) [len(4)+bytes]. A flag
+    is 0 or 1; load_device raises MalformedDocument on anything else. The boot
     status is not stored; load_device re-runs the boot check.
     """
     out = bytearray(_DEV_MAGIC)
@@ -205,41 +199,33 @@ def save_device(dev: DeviceState, path) -> None:
     out.append(dev.public_key.suite_id)
     out += dev.public_key.data
     out += dev.cert_digest
-    root_bytes = documents.encode_canonical(dev.trusted_root)
-    out += len(root_bytes).to_bytes(4, "big")
-    out += root_bytes
+    out += documents.prefixed(documents.encode_canonical(dev.trusted_root))
     out += len(dev.verified_digests).to_bytes(4, "big")
-    for d in sorted(dev.verified_digests):
-        out += d
+    out += b"".join(sorted(dev.verified_digests))
     for doc in (dev.installation, dev.cfg):
-        if doc is None:
-            out.append(0)
-            continue
-        doc_bytes = documents.encode_canonical(doc)
-        out.append(1)
-        out += len(doc_bytes).to_bytes(4, "big")
-        out += doc_bytes
+        out.append(doc is not None)
+        if doc is not None:
+            out += documents.prefixed(documents.encode_canonical(doc))
     Path(path).write_bytes(bytes(out))
 
 
 def load_device(path, key_path=None, rng=None) -> DeviceState:
     """Load a `.tltdev` file plus its secret key (sibling `.tltkey` by default), then boot it."""
     path = Path(path)
-    raw = path.read_bytes()
-    r = _Reader(raw)
+    r = documents.Reader(path.read_bytes())
     if r.take(4) != _DEV_MAGIC:
         raise MalformedDocument("not a device state file")
     if r.u8() != _DEV_VERSION:
         raise MalformedDocument("unsupported device state version")
     uuid = r.take(crypto.UUID_LEN)
-    suite = r.u8()
-    pk = PublicKey(suite, r.take(crypto.PUBLIC_KEY_LEN))
+    pk = PublicKey(r.u8(), r.take(crypto.PUBLIC_KEY_LEN))
     cert_digest = r.take(crypto.DIGEST_LEN)
-    root = documents.decode(r.take(r.u32()))
-    digests = {r.take(crypto.DIGEST_LEN) for _ in range(r.u32())}
-    inst, cfg = (documents.decode(r.take(r.u32())) if r.u8() else None for _ in range(2))
-    if not r.done():
-        raise MalformedDocument("trailing bytes in device state file")
+    root = documents.decode(r.prefixed())
+    digests = [r.take(crypto.DIGEST_LEN) for _ in range(r.u32())]
+    if digests != sorted(set(digests)):
+        raise MalformedDocument("verified digests are not strictly ascending")
+    inst, cfg = (documents.decode(r.prefixed()) if r.flag() else None for _ in range(2))
+    r.end()
 
     key_path = Path(key_path) if key_path else path.with_suffix(crypto.SECRET_KEY_EXT)
     sk = crypto.load_secret_key(key_path)
@@ -251,7 +237,7 @@ def load_device(path, key_path=None, rng=None) -> DeviceState:
         secret_key=sk,
         cert_digest=cert_digest,
         trusted_root=root,
-        verified_digests=digests,
+        verified_digests=set(digests),
         installation=inst,
         cfg=cfg,
         rng=rng,
@@ -259,24 +245,3 @@ def load_device(path, key_path=None, rng=None) -> DeviceState:
     dev.simulate_boot()
     return dev
 
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise MalformedDocument("truncated device state file")
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u32(self) -> int:
-        return int.from_bytes(self.take(4), "big")
-
-    def done(self) -> bool:
-        return self._pos == len(self._data)

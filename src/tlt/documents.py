@@ -16,10 +16,14 @@ injective and byte-stable. Signature i covers the canonical encoding of the
 doc_type, all fields, and signatures 0..i-1, i.e. the byte prefix that
 precedes it. The signer hint is the key id of the signing key and is checked
 during verification, so every byte of a document is covered by some check.
+
+Reader and prefixed are the one way binary formats (documents, `.tltdev`
+files, store answers) are read and written; Reader fails closed.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,7 +75,9 @@ CFG_SEQ = 0x03
 
 MFR_ID_LEN = 16
 SIG_ENTRY_LEN = crypto.KEY_ID_LEN + crypto.SIGNATURE_LEN
+_SIG_ENTRY = struct.Struct(f"{crypto.KEY_ID_LEN}s{crypto.SIGNATURE_LEN}s")  # signer_hint || signature
 _PK_FIELD_LEN = 1 + crypto.PUBLIC_KEY_LEN
+_U32 = struct.Struct(">I")
 
 # The chain of trust's shape: child doc_type -> (the only doc_type that may
 # issue (sign) it, the child's tag naming that issuer, the issuer's tag holding
@@ -138,6 +144,65 @@ class Document:
 # Canonical encoding
 # ---------------------------------------------------------------------------
 
+def prefixed(value: bytes) -> bytes:
+    """len(value) as 4 big-endian bytes, then value: what Reader.prefixed reads."""
+    return len(value).to_bytes(4, "big") + value
+
+
+class Reader:
+    """Bounds-checked cursor over untrusted bytes; any misread raises MalformedDocument."""
+
+    __slots__ = ("_data", "_pos")
+
+    def __init__(self, data: bytes):
+        self._data = bytes(data)
+        self._pos = 0
+
+    def take(self, n: int) -> bytes:
+        start = self._pos
+        end = start + n
+        if end > len(self._data):
+            raise MalformedDocument(f"truncated: {n} bytes wanted at offset {start}")
+        self._pos = end
+        return self._data[start:end]
+
+    def u8(self) -> int:
+        pos = self._pos
+        if pos >= len(self._data):
+            raise MalformedDocument(f"truncated: 1 byte wanted at offset {pos}")
+        self._pos = pos + 1
+        return self._data[pos]
+
+    def u32(self) -> int:
+        return int.from_bytes(self.take(4), "big")
+
+    def prefixed(self) -> bytes:
+        # Checks bounds itself, as u8 does, since decode calls both once per field.
+        data, pos = self._data, self._pos
+        end = pos + 4
+        if end <= len(data):
+            end += _U32.unpack_from(data, pos)[0]
+        if end > len(data):
+            raise MalformedDocument(f"truncated: length-prefixed value at offset {pos}")
+        self._pos = end
+        return data[pos + 4 : end]
+
+    def flag(self) -> bool:
+        value = self.u8()
+        if value > 1:
+            raise MalformedDocument(f"flag byte is {value}, expected 0 or 1")
+        return value == 1
+
+    def rest(self) -> bytes:
+        out = self._data[self._pos :]
+        self._pos = len(self._data)
+        return out
+
+    def end(self) -> None:
+        if self._pos != len(self._data):
+            raise MalformedDocument(f"{len(self._data) - self._pos} trailing bytes")
+
+
 def encode_canonical(doc: Document) -> bytes:
     """Deterministic byte encoding; raises NonCanonicalField on bad shape."""
     return _encode(doc, len(doc.signatures))
@@ -164,8 +229,7 @@ def _encode(doc: Document, num_signatures: int) -> bytes:
             raise NonCanonicalField("field value too long")
         prev_tag = tag
         out.append(tag)
-        out += len(value).to_bytes(4, "big")
-        out += value
+        out += prefixed(value)
     for hint, sig in doc.signatures[:num_signatures]:
         if len(hint) != crypto.KEY_ID_LEN or len(sig) != crypto.SIGNATURE_LEN:
             raise NonCanonicalField("malformed signature entry")
@@ -176,39 +240,22 @@ def _encode(doc: Document, num_signatures: int) -> bytes:
 
 def decode(data: bytes) -> Document:
     """Exact inverse of encode_canonical; raises MalformedDocument otherwise."""
-    data = bytes(data)
-    if len(data) < 2:
-        raise MalformedDocument("truncated header")
-    doc_type = data[0]
+    r = Reader(data)
+    doc_type, field_count = r.take(2)
     if doc_type not in DOC_TYPE_NAMES:
         raise MalformedDocument(f"unknown doc_type 0x{doc_type:02x}")
-    field_count = data[1]
-    pos = 2
     fields = []
     prev_tag = -1
     for _ in range(field_count):
-        if pos + 5 > len(data):
-            raise MalformedDocument("truncated field header")
-        tag = data[pos]
+        tag = r.u8()
         if tag <= prev_tag:
             raise MalformedDocument("field tags not strictly ascending")
         prev_tag = tag
-        length = int.from_bytes(data[pos + 1 : pos + 5], "big")
-        pos += 5
-        if pos + length > len(data):
-            raise MalformedDocument("field length overflows document")
-        fields.append((tag, data[pos : pos + length]))
-        pos += length
-    remainder = len(data) - pos
-    if remainder % SIG_ENTRY_LEN != 0:
+        fields.append((tag, r.prefixed()))
+    entries = r.rest()
+    if len(entries) % SIG_ENTRY_LEN != 0:
         raise MalformedDocument("trailing bytes are not whole signature entries")
-    signatures = []
-    while pos < len(data):
-        signatures.append(
-            (data[pos : pos + crypto.KEY_ID_LEN], data[pos + crypto.KEY_ID_LEN : pos + SIG_ENTRY_LEN])
-        )
-        pos += SIG_ENTRY_LEN
-    return Document(doc_type, tuple(fields), tuple(signatures))
+    return Document(doc_type, tuple(fields), tuple(_SIG_ENTRY.iter_unpack(entries)))
 
 
 def append_signature(doc: Document, sk: SecretKey) -> Document:

@@ -19,11 +19,11 @@ Responses:
     ERR <code>            codes: NOTFOUND, BADREQ
 
 DEV payload: len(4, big-endian) || device certificate || len(4) ||
-manufacturer certificate. The client raises ParseError unless the second is
-the certificate the first names as its issuer (documents.issuer_key) and the
-first names the UUID asked for. STATE payload: current flag(1) || firmware
-metadata (UTF-8). The client raises ParseError on an empty payload or a flag
-other than 0 or 1.
+manufacturer certificate. The client raises ParseError on a cut or extended
+payload, and unless the second is the certificate the first names as its
+issuer (documents.issuer_key) and the first names the UUID asked for. STATE
+payload: current flag(1) || firmware metadata (UTF-8). The client raises
+ParseError on an empty payload or a flag other than 0 or 1.
 
 The server is read-only, so a resend is safe: all writes happen in the owning
 process before it starts serving, which also keeps the store's single-writer
@@ -58,23 +58,14 @@ IDLE_TIMEOUT = 10.0
 def encode_device_payload(view: DeviceView) -> bytes:
     dcrt = documents.encode_canonical(view.certificate)
     mcrt = documents.encode_canonical(view.mfr_certificate)
-    return len(dcrt).to_bytes(4, "big") + dcrt + len(mcrt).to_bytes(4, "big") + mcrt
+    return documents.prefixed(dcrt) + documents.prefixed(mcrt)
 
 
 def decode_device_payload(payload: bytes, uuid: bytes) -> DeviceView:
-    if len(payload) < 4:
-        raise ParseError("truncated device payload")
-    n = int.from_bytes(payload[:4], "big")
-    dcrt_bytes = payload[4 : 4 + n]
-    rest = payload[4 + n :]
-    if len(dcrt_bytes) != n or len(rest) < 4:
-        raise ParseError("truncated device payload")
-    m = int.from_bytes(rest[:4], "big")
-    mcrt_bytes = rest[4 : 4 + m]
-    if len(mcrt_bytes) != m or len(rest) != 4 + m:
-        raise ParseError("trailing bytes in device payload")
     try:
-        dcrt, mcrt = documents.decode(dcrt_bytes), documents.decode(mcrt_bytes)
+        r = documents.Reader(payload)
+        dcrt, mcrt = documents.decode(r.prefixed()), documents.decode(r.prefixed())
+        r.end()
         if dcrt.doc_type != documents.DOC_DEVICE or documents.issuer_key(dcrt) != documents.certificate_key(mcrt):
             raise ParseError("device payload is not a device certificate followed by its issuer's")
         if documents.subject_uuid(dcrt) != bytes(uuid):
@@ -89,11 +80,11 @@ def encode_state_payload(view: StateView) -> bytes:
 
 
 def decode_state_payload(payload: bytes) -> StateView:
-    if not payload:
-        raise ParseError("empty state payload")
-    if payload[0] > 1:
-        raise ParseError(f"state payload has current flag {payload[0]}, expected 0 or 1")
-    return StateView(current=payload[0] == 1, fw_meta=payload[1:].decode(errors="replace"))
+    try:
+        r = documents.Reader(payload)
+        return StateView(current=r.flag(), fw_meta=r.rest().decode(errors="replace"))
+    except MalformedDocument as exc:
+        raise ParseError(f"malformed state payload: {exc}") from None
 
 
 def handle_request_line(store: Store, line: str) -> str:

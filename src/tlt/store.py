@@ -42,13 +42,6 @@ _DOC_TYPE_BY_KIND = {name: doc_type for doc_type, name in documents.DOC_TYPE_NAM
 
 
 @dataclass(frozen=True)
-class StoreRecord:
-    kind: str  # the name of doc's type
-    doc: Document
-    seq: int
-
-
-@dataclass(frozen=True)
 class DeviceView:
     """What a verifier learns about a registered device: its key and certificate chain."""
 
@@ -78,7 +71,7 @@ class Store:
         if not result:
             raise ChainInvalid(f"root does not self-verify: {result.reason}")
         self.root = root
-        self.records: list[StoreRecord] = [StoreRecord("root", root, 0)]
+        self.records: list[Document] = [root]  # a record's seq is its index
         self._certs: dict[tuple[int, bytes], int] = {}  # documents.certificate_key -> seq
         self._firmware: dict[bytes, int] = {}    # doc digest -> seq
         # uuid -> (current state digest, installation seq, configuration seq or None)
@@ -125,7 +118,7 @@ class Store:
         else:
             uuid = documents.subject_uuid(doc)
             _, inst_ref, cfg_ref = self._current.get(uuid, (None, None, None))
-            cfg_doc = self.records[cfg_ref].doc if cfg_ref is not None else None
+            cfg_doc = self.records[cfg_ref] if cfg_ref is not None else None
             if doc.doc_type == documents.DOC_INSTALLATION:
                 if doc.field(documents.INST_FW_DOC_DIGEST) not in self._firmware:
                     raise ConstraintViolation("installation references unregistered firmware")
@@ -136,11 +129,11 @@ class Store:
                 latest_seq = documents.config_seq(cfg_doc) if cfg_doc is not None else 0
                 if documents.config_seq(doc) <= latest_seq:
                     raise ConstraintViolation(f"configuration sequence must exceed {latest_seq}")
-                inst_doc, cfg_ref, cfg_doc = self.records[inst_ref].doc, seq, doc
+                inst_doc, cfg_ref, cfg_doc = self.records[inst_ref], seq, doc
             digest = documents.state_digest(inst_doc, cfg_doc, uuid)
             self._state_index[(uuid, digest)] = inst_ref
             self._current[uuid] = (digest, inst_ref, cfg_ref)
-        self.records.append(StoreRecord(kind, doc, seq))
+        self.records.append(doc)
         return seq
 
     def _resolve_intermediates(self, doc: Document) -> list[Document]:
@@ -151,7 +144,7 @@ class Store:
             seq = self._certs.get(key)
             if seq is None:
                 raise UnknownIssuer(f"{documents.DOC_TYPE_NAMES[key[0]]} is not registered")
-            chain.append(self.records[seq].doc)
+            chain.append(self.records[seq])
             key = documents.issuer_key(chain[-1])
         return chain
 
@@ -161,7 +154,7 @@ class Store:
         seq = self._certs.get((documents.DOC_DEVICE, bytes(uuid)))
         if seq is None:
             raise NotFound("unknown device UUID")
-        dcrt = self.records[seq].doc
+        dcrt = self.records[seq]
         return DeviceView.from_certificates(dcrt, *self._resolve_intermediates(dcrt))
 
     def lookup_state(self, uuid: bytes, state_digest: bytes) -> StateView:
@@ -169,10 +162,10 @@ class Store:
         inst_seq = self._state_index.get((uuid, state_digest))
         if inst_seq is None:
             raise NotFound("no state entry for this digest")
-        fw_seq = self._firmware[self.records[inst_seq].doc.field(documents.INST_FW_DOC_DIGEST)]
+        fw_seq = self._firmware[self.records[inst_seq].field(documents.INST_FW_DOC_DIGEST)]
         return StateView(
             current=self._current[uuid][0] == state_digest,
-            fw_meta=self.records[fw_seq].doc.field(documents.FW_META).decode(errors="replace"),
+            fw_meta=self.records[fw_seq].field(documents.FW_META).decode(errors="replace"),
         )
 
     def current_state_digest(self, uuid: bytes) -> bytes:
@@ -186,8 +179,8 @@ class Store:
 
     def persist(self, path) -> None:
         lines = [
-            f"{rec.kind} {rec.seq} {documents.encode_canonical(rec.doc).hex()}"
-            for rec in self.records
+            f"{documents.DOC_TYPE_NAMES[doc.doc_type]} {seq} {documents.encode_canonical(doc).hex()}"
+            for seq, doc in enumerate(self.records)
         ]
         Path(path).write_text("\n".join(lines) + "\n")
 

@@ -91,10 +91,14 @@ def test_remember_digest_idempotent(stack):
     assert stack.dev.verified_digests == before | {documents.doc_digest(stack.fw_doc)}
 
 
-def test_remember_digest_accepts_chain_with_explicit_root(rng, stack):
-    dev, _ = device_birth(stack.mcrt, stack.mfr_sk, stack.root, "fresh", rng)
-    dev.install_firmware(stack.fw_doc, stack.fw_image, [stack.mcrt, stack.root], "slot=0")
-    assert documents.doc_digest(stack.fw_doc) in dev.verified_digests
+def test_install_rejects_chain_that_ends_in_a_root(stack):
+    """The device appends its own trusted root, so a caller's root is one root too many."""
+    before = (stack.dev.installation, set(stack.dev.verified_digests))
+    image2 = b"second image"
+    fw2 = documents.sign_firmware(image2, "v2", stack.mfr_sk, stack.mcrt)
+    with pytest.raises(ChainInvalid):
+        stack.dev.install_firmware(fw2, image2, [stack.mcrt, stack.root], "slot=1")
+    assert (stack.dev.installation, stack.dev.verified_digests) == before
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +362,39 @@ def test_device_file_fails_closed_under_every_flip_and_truncation(tmp_path, stac
         if loaded.boot_status == BootStatus.OPERATIONAL:
             attested = (loaded.uuid, loaded.public_key, loaded.trusted_root, loaded.compute_state_digest())
             assert attested == honest, case
+
+
+@pytest.mark.parametrize(
+    "case", ["installation flag 2", "configuration flag 0xff", "duplicated digest", "digests out of order"]
+)
+def test_device_file_has_one_encoding_per_state(tmp_path, stack, case):
+    """Presence flags are 0 or 1 and verified digests strictly ascending; any other file is malformed."""
+    dev = stack.dev
+    if case == "digests out of order":
+        image2 = b"second image"
+        fw2 = documents.sign_firmware(image2, "v2", stack.mfr_sk, stack.mcrt)
+        dev.install_firmware(fw2, image2, [stack.mcrt], "slot=1")
+    dev.apply_configuration(b"cfg", 1)
+    assert _save_and_load(dev, tmp_path).boot_status == BootStatus.OPERATIONAL
+    path = tmp_path / "dev.tltdev"
+    blob = path.read_bytes()
+    digests = sorted(dev.verified_digests)
+    first = blob.index(digests[0])
+    assert blob[first - 4 : first] == len(digests).to_bytes(4, "big")
+    inst_flag = first + 32 * len(digests)
+    cfg_flag = inst_flag + 5 + len(documents.encode_canonical(dev.installation))
+    assert blob[inst_flag] == blob[cfg_flag] == 1
+    if case == "installation flag 2":
+        corrupt = blob[:inst_flag] + b"\x02" + blob[inst_flag + 1 :]
+    elif case == "configuration flag 0xff":
+        corrupt = blob[:cfg_flag] + b"\xff" + blob[cfg_flag + 1 :]
+    elif case == "duplicated digest":
+        corrupt = blob[: first - 4] + (2).to_bytes(4, "big") + digests[0] * 2 + blob[inst_flag:]
+    else:
+        corrupt = blob[:first] + digests[1] + digests[0] + blob[inst_flag:]
+    path.write_bytes(corrupt)
+    with pytest.raises(MalformedDocument):
+        load_device(path)
 
 
 def test_device_file_excludes_secret_key(tmp_path, stack):

@@ -121,6 +121,21 @@ def test_bad_state_payload_rejected(stack, payload):
             StoreClient(*addr).lookup_state(stack.dev.uuid, stack.dev.compute_state_digest())
 
 
+def test_every_cut_and_extension_of_a_dev_answer_is_a_parse_error(stack):
+    """A DEV payload cut short at any byte, or with one byte appended, is a ParseError, never a view."""
+    uuid = stack.dev.uuid
+    payload = netstore.encode_device_payload(stack.store.lookup_device(uuid))
+    assert netstore.decode_device_payload(payload, uuid) == stack.store.lookup_device(uuid)
+    cuts = ((f"cut to {n} bytes", payload[:n]) for n in range(len(payload)))
+    extensions = ((f"0x{b:02x} appended", payload + bytes([b])) for b in (0x00, 0x01, 0xFF))
+    for case, corrupt in (*cuts, *extensions):
+        try:
+            netstore.decode_device_payload(corrupt, uuid)
+        except ParseError:
+            continue
+        pytest.fail(f"{case}: decoded without a ParseError")
+
+
 def test_not_found_and_bad_requests(stack, rng):
     assert handle_request_line(stack.store, f"DEV {crypto.generate_uuid(rng).hex()}") == "ERR NOTFOUND"
     assert handle_request_line(stack.store, "DEV nothex") == "ERR BADREQ"

@@ -274,17 +274,17 @@ def test_state_entry_tracks_configuration(stack):
 
 def test_admission_soundness_every_record_reverifies(stack):
     st = stack.store
-    for rec in st.records:
-        if rec.kind == "root":
-            assert documents.verify_chain([rec.doc], st.root)
-        elif rec.kind == "manufacturer":
-            assert documents.verify_chain([rec.doc, st.root], st.root)
-        elif rec.kind in ("device", "firmware"):
-            mcrt = st.records[1].doc
-            assert documents.verify_chain([rec.doc, mcrt, st.root], st.root)
+    for doc in st.records:
+        if doc.doc_type == documents.DOC_ROOT:
+            assert documents.verify_chain([doc], st.root)
+        elif doc.doc_type == documents.DOC_MANUFACTURER:
+            assert documents.verify_chain([doc, st.root], st.root)
+        elif doc.doc_type in (documents.DOC_DEVICE, documents.DOC_FIRMWARE):
+            mcrt = st.records[1]
+            assert documents.verify_chain([doc, mcrt, st.root], st.root)
         else:
-            dcrt, mcrt = st.records[3].doc, st.records[1].doc
-            assert documents.verify_chain([rec.doc, dcrt, mcrt, st.root], st.root)
+            dcrt, mcrt = st.records[3], st.records[1]
+            assert documents.verify_chain([doc, dcrt, mcrt, st.root], st.root)
 
 
 def test_index_consistency(stack):
@@ -296,9 +296,13 @@ def test_index_consistency(stack):
         assert stack.store.lookup_state(uuid, digest).current == current
 
 
-def test_monotone_sequence_numbers(stack):
-    seqs = [rec.seq for rec in stack.store.records]
-    assert seqs == list(range(len(seqs)))
+def test_monotone_sequence_numbers(stack, tmp_path):
+    """The persisted log numbers its records 0, 1, 2, ... and names each by its type."""
+    path = tmp_path / "s.tltlog"
+    stack.store.persist(path)
+    columns = [line.split(" ")[:2] for line in path.read_text().splitlines()]
+    assert [seq for _, seq in columns] == [str(i) for i in range(len(stack.store.records))]
+    assert [kind for kind, _ in columns] == [documents.DOC_TYPE_NAMES[doc.doc_type] for doc in stack.store.records]
 
 
 # ---------------------------------------------------------------------------
