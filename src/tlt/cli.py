@@ -65,6 +65,15 @@ def _register(store_path, kind: str, doc, st=None) -> int:
     return seq
 
 
+def _new_files(command: str, *paths: Path) -> None:
+    """Refuse outputs that exist or have no directory, before anything is drawn or written."""
+    for path in paths:
+        if path.exists():
+            raise UsageError(f"{path} already exists; {command} never overwrites")
+        if not path.parent.is_dir():
+            raise UsageError(f"{path.parent} is not a directory")
+
+
 def _port(text: str) -> int:
     if not (text.isascii() and text.isdigit() and int(text) <= 0xFFFF):
         raise argparse.ArgumentTypeError(f"port must be 0..65535, not {text!r}")
@@ -172,9 +181,7 @@ def build_parser() -> _Parser:
 
 def _cmd_authority_init(args) -> int:
     store_path = _need_store(args)
-    for path in (store_path, Path(args.key)):
-        if path.exists():
-            raise UsageError(f"{path} already exists; authority init never overwrites")
+    _new_files("authority init", store_path, Path(args.key), Path(args.key).with_suffix(crypto.PUBLIC_KEY_EXT))
     pk, sk = crypto.generate_keypair(args.rng)
     root = documents.make_root_certificate(args.info, pk, sk)
     st = store_mod.Store(root)
@@ -188,12 +195,13 @@ def _cmd_authority_init(args) -> int:
 
 def _cmd_mfr_register(args) -> int:
     store_path = _need_store(args)
+    cert_out = Path(args.cert_out) if args.cert_out else Path(args.key).with_suffix(documents.DOC_FILE_EXT)
+    _new_files("mfr register", Path(args.key), cert_out)
     authority_sk = crypto.load_secret_key(args.authority_key)
     pk, sk = crypto.generate_keypair(args.rng)
     mcrt = documents.make_manufacturer_certificate(args.info, pk, authority_sk, args.rng)
     seq = _register(store_path, "manufacturer", mcrt)
     crypto.save_secret_key(sk, args.key)
-    cert_out = Path(args.cert_out) if args.cert_out else Path(args.key).with_suffix(documents.DOC_FILE_EXT)
     documents.save_document(mcrt, cert_out)
     print(f"mfr_id={mcrt.field(documents.MFR_ID).hex()}")
     print(f"seq={seq}")
@@ -215,12 +223,13 @@ def _cmd_mfr_sign_fw(args) -> int:
 
 def _cmd_device_birth(args) -> int:
     store_path = _need_store(args)
+    out = Path(args.out)
+    _new_files("device birth", out, out.with_suffix(crypto.SECRET_KEY_EXT))
     st = store_mod.load_store(store_path)
     mfr_sk = crypto.load_secret_key(args.mfr_key)
     mcrt = documents.load_document(args.mfr_cert)
     dev, dcrt = device_mod.device_birth(mcrt, mfr_sk, st.root, args.info, args.rng)
     _register(store_path, "device", dcrt, st)
-    out = Path(args.out)
     device_mod.save_device(dev, out)
     crypto.save_secret_key(dev.secret_key, out.with_suffix(crypto.SECRET_KEY_EXT))
     print(f"uuid={dev.uuid.hex()}")

@@ -13,6 +13,11 @@ drops it after anything but a reply line of at most MAX_RESPONSE_LINE bytes,
 newline included. It resends once, on a new one, if a reused connection ends
 before any reply byte (as after the idle drop). close() or `with` closes it.
 
+A StoreClient keeps each DEV answer it decoded, by UUID, for its lifetime: the
+store admits one certificate per UUID and never rewrites a record, and the
+server is read-only, so that answer cannot change. Nothing else is kept; every
+STATE answer (its current flag goes stale) and failed DEV lookup is asked again.
+
 Responses:
 
     OK <hex payload>      the client raises ParseError if the payload is not hex
@@ -186,6 +191,7 @@ class StoreClient(contextlib.AbstractContextManager):
         self._timeout = timeout
         self._lock = threading.RLock()  # one request in flight; re-entered when a lookup calls close()
         self._sock = self._reply = None  # the connection and its buffered reader
+        self._devices: dict[bytes, DeviceView] = {}  # every DEV answer decoded, by UUID; never evicted
 
     def close(self) -> None:
         with self._lock:
@@ -233,8 +239,11 @@ class StoreClient(contextlib.AbstractContextManager):
         raise TltError(f"store protocol error: {repr(response)[:80]}")
 
     def lookup_device(self, uuid: bytes) -> DeviceView:
-        payload = self._payload(f"DEV {bytes(uuid).hex()}")
-        return decode_device_payload(payload, uuid)
+        uuid = bytes(uuid)
+        with self._lock:  # threads that miss together ask once
+            if (view := self._devices.get(uuid)) is None:
+                view = self._devices[uuid] = decode_device_payload(self._payload(f"DEV {uuid.hex()}"), uuid)
+        return view
 
     def lookup_state(self, uuid: bytes, state_digest: bytes) -> StateView:
         payload = self._payload(f"STATE {bytes(uuid).hex()} {bytes(state_digest).hex()}")

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -144,6 +146,36 @@ def test_authority_init_never_overwrites(workspace, capsys, monkeypatch):
     assert not list(workspace.glob("new.*"))
 
 
+_REGISTER = ["mfr", "register", "--store", "s.tltlog", "--authority-key", "authority.tltkey", "--info", "Other"]
+_BIRTH = ["device", "birth", "--store", "s.tltlog", "--mfr-key", "acme.tltkey", "--mfr-cert", "acme.tltdoc",
+          "--info", "other lock"]
+
+
+@pytest.mark.parametrize("argv, kept", [
+    (_REGISTER + ["--key", "acme.tltkey"], ["acme.tltkey", "acme.tltdoc"]),
+    (_REGISTER + ["--key", "new.tltkey", "--cert-out", "acme.tltdoc"], ["acme.tltdoc"]),
+    (_REGISTER + ["--key", "nodir/new.tltkey"], []),
+    (_BIRTH + ["--out", "dev.tltdev"], ["dev.tltdev", "dev.tltkey"]),
+    (_BIRTH + ["--out", "nodir/new.tltdev"], []),
+], ids=["register-again", "register-onto-a-certificate", "register-into-no-directory",
+        "birth-again", "birth-into-no-directory"])
+def test_register_and_birth_never_replace_files(workspace, capsys, monkeypatch, argv, kept):
+    """A write onto an existing output, or into a missing directory, is refused before any draw or record."""
+    _provision(workspace, capsys)
+    kept = ["s.tltlog", *kept]
+    before = {name: (workspace / name).read_bytes() for name in kept}
+
+    def no_draw(*_args, **_kwargs):
+        raise AssertionError("a key was drawn")
+
+    monkeypatch.setattr(crypto, "generate_keypair", no_draw)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("UsageError: ") and err.count("\n") == 1
+    assert {name: (workspace / name).read_bytes() for name in kept} == before
+    assert not list(workspace.glob("new.*")) and not (workspace / "nodir").exists()
+
+
 # ---------------------------------------------------------------------------
 # Store serving
 # ---------------------------------------------------------------------------
@@ -174,40 +206,63 @@ def test_challenge_rejects_a_bad_store_address(workspace, capsys, monkeypatch, a
     assert capsys.readouterr().err == f"UsageError: argument --connect: {complaint}\n"
 
 
-def test_serve_and_remote_challenge(workspace, capsys):
-    _provision(workspace, capsys)
+def _subprocess_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+@contextlib.contextmanager
+def _serving():
+    """`tlt store serve --port 0` on s.tltlog in a subprocess; yields the process and its port."""
     with subprocess.Popen(
         [sys.executable, "-m", "tlt.cli", "store", "serve", "--store", "s.tltlog", "--port", "0"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env(),
     ) as server:
         try:
             banner = server.stdout.readline().decode()
             assert banner.startswith("serving s.tltlog on 127.0.0.1:")
-            port = int(banner.rsplit(":", 1)[1])
-
-            dev = load_device(workspace / "dev.tltdev")
-            with StoreClient("127.0.0.1", port) as client:
-                view = client.lookup_device(dev.uuid)
-            assert view.certificate.field(documents.DEV_INFO) == b"smart lock"
-
-            # Development mode shows an unclosed socket as a ResourceWarning; here it is an error.
-            challenge = subprocess.run(
-                [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "tlt.cli",
-                 "verify", "challenge", "--connect", f"127.0.0.1:{port}", "--device", "dev.tltdev", "--auto-accept"],
-                capture_output=True, text=True, env=env, timeout=30,
-            )
-            assert challenge.returncode == 0
-            assert "gate=1" in challenge.stdout
-            assert challenge.stderr == ""
-
-            server.send_signal(signal.SIGINT)  # `store serve` runs until interrupted
-            _, err = server.communicate(timeout=10)
+            yield server, int(banner.rsplit(":", 1)[1])
         finally:
             server.kill()
+
+
+def test_serve_and_remote_challenge(workspace, capsys):
+    _provision(workspace, capsys)
+    with _serving() as (server, port):
+        dev = load_device(workspace / "dev.tltdev")
+        with StoreClient("127.0.0.1", port) as client:
+            view = client.lookup_device(dev.uuid)
+        assert view.certificate.field(documents.DEV_INFO) == b"smart lock"
+
+        # Development mode shows an unclosed socket as a ResourceWarning; here it is an error.
+        challenge = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "tlt.cli",
+             "verify", "challenge", "--connect", f"127.0.0.1:{port}", "--device", "dev.tltdev", "--auto-accept"],
+            capture_output=True, text=True, env=_subprocess_env(), timeout=30,
+        )
+        assert challenge.returncode == 0
+        assert "gate=1" in challenge.stdout
+        assert challenge.stderr == ""
+
+        server.send_signal(signal.SIGINT)  # `store serve` runs until interrupted
+        _, err = server.communicate(timeout=10)
     assert server.returncode == 0
     assert err == b""
+
+
+def test_serve_exits_on_sigint_with_a_client_connected(workspace, capsys):
+    """A client that keeps its connection open, as StoreClient does, does not hold the server past SIGINT."""
+    _provision(workspace, capsys)
+    with _serving() as (server, port), StoreClient("127.0.0.1", port) as client:
+        client.lookup_device(load_device(workspace / "dev.tltdev").uuid)  # the connection stays open
+        started = time.monotonic()
+        server.send_signal(signal.SIGINT)
+        _, err = server.communicate(timeout=2 * netstore.IDLE_TIMEOUT)
+        elapsed = time.monotonic() - started
+    assert server.returncode == 0
+    assert err == b""
+    assert elapsed < 2  # not IDLE_TIMEOUT
 
 
 # ---------------------------------------------------------------------------

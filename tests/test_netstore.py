@@ -8,12 +8,13 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from tlt import crypto, device, documents, netstore
+from tlt import crypto, device, documents, netstore, verifier
 from tlt.errors import NotFound, ParseError, TltError
 from tlt.netstore import StoreClient, StoreServer, handle_request_line
 from tlt.verifier import StateCheck, Verifier
@@ -69,6 +70,30 @@ def _count_accepts(server: StoreServer) -> list:
 
     server.get_request = counted
     return accepts
+
+
+def _count_requests(monkeypatch, first: str | None = None) -> list:
+    """Record each request line the server handles from now on; answer the first with `first` if given."""
+    requests = []
+    handle = netstore.handle_request_line
+
+    def counted(store, line):
+        requests.append(line)
+        return first if first is not None and len(requests) == 1 else handle(store, line)
+
+    monkeypatch.setattr(netstore, "handle_request_line", counted)
+    return requests
+
+
+def _more_devices(stack, n: int) -> list:
+    """n more devices of the stack's manufacturer, each registered with its firmware installed."""
+    devices = []
+    for i in range(n):
+        dev, dcrt = device.device_birth(stack.mcrt, stack.mfr_sk, stack.root, f"lock {i}", stack.rng)
+        stack.store.register("device", dcrt)
+        stack.store.register("installation", dev.install_firmware(stack.fw_doc, stack.fw_image, [stack.mcrt], "slot=0"))
+        devices.append(dev)
+    return devices
 
 
 def _dev_payload(*docs) -> bytes:
@@ -262,7 +287,12 @@ def test_client_reconnects_after_the_idle_drop(stack, monkeypatch):
 
 @pytest.mark.parametrize("fault", ["cut-mid-line", "over-long"])
 def test_client_never_reuses_a_connection_after_a_bad_reply(stack, monkeypatch, fault):
-    """The first connection answers once, badly, and then says nothing; later ones answer honestly."""
+    """The first connection answers once, badly, and then says nothing; later ones answer honestly.
+
+    The bad answer is not kept: the second lookup asks again, and the third is answered from the
+    honest answer the second kept.
+    """
+    requests = _count_requests(monkeypatch)
     honest = (handle_request_line(stack.store, f"DEV {stack.dev.uuid.hex()}") + "\n").encode()
     # over-long: a client that kept reading this stream would next read the "\n" and then a stale answer
     first = honest[: len(honest) // 2] if fault == "cut-mid-line" else b"O" * 65_537 + b"\n" + honest
@@ -282,17 +312,72 @@ def test_client_never_reuses_a_connection_after_a_bad_reply(stack, monkeypatch, 
             with pytest.raises(TimeoutError if fault == "cut-mid-line" else TltError):
                 client.lookup_device(stack.dev.uuid)
             assert client.lookup_device(stack.dev.uuid) == stack.store.lookup_device(stack.dev.uuid)
+            assert len(requests) == 1  # the bad first answer came from the stand-in handler
+            assert client.lookup_device(stack.dev.uuid) == stack.store.lookup_device(stack.dev.uuid)
+            assert len(requests) == 1
     assert len(accepts) == 2
 
 
-def test_threads_sharing_a_client_get_their_own_answers(stack):
-    """Four threads, one client: each thread's answers are for its own device, as in process."""
-    devices = [stack.dev]
-    for i in range(3):
-        dev, dcrt = device.device_birth(stack.mcrt, stack.mfr_sk, stack.root, f"lock {i}", stack.rng)
-        stack.store.register("device", dcrt)
-        stack.store.register("installation", dev.install_firmware(stack.fw_doc, stack.fw_image, [stack.mcrt], "slot=0"))
-        devices.append(dev)
+@pytest.mark.parametrize(
+    "answer, error",
+    [("ERR NOTFOUND", NotFound), ("ERR BADREQ", TltError), ("OK 00000000", ParseError)],
+    ids=["not-found", "protocol-error", "parse-error"],
+)
+def test_a_failed_dev_lookup_is_asked_again(stack, monkeypatch, answer, error):
+    """A DEV lookup that failed on a whole reply line keeps nothing: the next one asks again, on the same connection."""
+    requests = _count_requests(monkeypatch, first=answer)
+    uuid = stack.dev.uuid
+    with StoreServer(stack.store, port=0) as server:
+        accepts = _count_accepts(server)
+        with StoreClient(*server.address) as client:
+            with pytest.raises(TltError) as excinfo:
+                client.lookup_device(uuid)
+            assert type(excinfo.value) is error
+            for _ in range(3):
+                assert client.lookup_device(uuid) == stack.store.lookup_device(uuid)
+    assert requests == [f"DEV {uuid.hex()}"] * 2
+    assert len(accepts) == 1
+
+
+def test_a_client_asks_for_each_device_once(stack, rng, monkeypatch):
+    """Exchanges that meet each device several times make one DEV request per registered device.
+
+    An unregistered device is asked for at every exchange, and every exchange asks for its state.
+    """
+    devices = [stack.dev, *_more_devices(stack, 3)]
+    stranger, _ = device.device_birth(stack.mcrt, stack.mfr_sk, stack.root, "not registered", stack.rng)
+    stranger.install_firmware(stack.fw_doc, stack.fw_image, [stack.mcrt], "slot=0")
+    requests = _count_requests(monkeypatch)
+    with StoreServer(stack.store, port=0) as server, StoreClient(*server.address) as client:
+        for _ in range(3):
+            for dev in devices:
+                assert verifier.run_exchange(client, dev, rng).state_check == StateCheck.VERIFIED_CURRENT
+                assert client.lookup_device(dev.uuid) == stack.store.lookup_device(dev.uuid)
+            assert verifier.run_exchange(client, stranger, rng).state_check == StateCheck.UNKNOWN_DEVICE
+    asked = Counter(" ".join(line.split(" ")[:2]) for line in requests)  # request and UUID
+    assert asked == Counter(
+        {f"DEV {dev.uuid.hex()}": 1 for dev in devices}
+        | {f"STATE {dev.uuid.hex()}": 3 for dev in devices}
+        | {f"DEV {stranger.uuid.hex()}": 3}
+    )
+
+
+def test_a_state_answer_is_never_kept(stack):
+    """The current flag a client reads follows the store, so a superseded state reads as stale."""
+    digest = stack.dev.compute_state_digest()
+    with StoreServer(stack.store, port=0) as server, StoreClient(*server.address) as client:
+        assert client.lookup_state(stack.dev.uuid, digest).current
+        stack.store.register("configuration", stack.dev.apply_configuration(b"newer", 1))  # no request in flight
+        assert not client.lookup_state(stack.dev.uuid, digest).current
+
+
+def test_threads_sharing_a_client_get_their_own_answers(stack, monkeypatch):
+    """Eight threads, two per device, share one client: each thread's answers are for its own device.
+
+    Each device's DEV answer is asked for once, however the threads interleave.
+    """
+    devices = [stack.dev, *_more_devices(stack, 3)]
+    requests = _count_requests(monkeypatch)
 
     def look_up(dev):
         digest = dev.compute_state_digest()
@@ -305,11 +390,12 @@ def test_threads_sharing_a_client_get_their_own_answers(stack):
     try:
         with StoreServer(stack.store, port=0) as server:
             accepts = _count_accepts(server)
-            with StoreClient(*server.address) as client, ThreadPoolExecutor(4) as pool:
-                list(pool.map(look_up, devices, timeout=30))  # re-raises the first failure
+            with StoreClient(*server.address) as client, ThreadPoolExecutor(8) as pool:
+                list(pool.map(look_up, devices * 2, timeout=30))  # re-raises the first failure
     finally:
         sys.setswitchinterval(switch)
     assert len(accepts) == 1
+    assert sorted(line for line in requests if line.startswith("DEV ")) == sorted(f"DEV {dev.uuid.hex()}" for dev in devices)
 
 
 def test_stopped_server_answers_nothing(stack):
@@ -322,8 +408,8 @@ def test_stopped_server_answers_nothing(stack):
         server.stop()
         assert time.monotonic() - started < 1  # not IDLE_TIMEOUT
         assert not [t for t in threading.enumerate() if "process_request_thread" in t.name]
-        with pytest.raises(OSError):
-            client.lookup_device(stack.dev.uuid)
+        with pytest.raises(OSError):  # a STATE answer is never kept, so this lookup reaches the socket
+            client.lookup_state(stack.dev.uuid, stack.dev.compute_state_digest())
 
 
 def test_stop_returns_on_a_server_never_started(stack):
