@@ -210,13 +210,14 @@ def _cmd_mfr_register(args) -> int:
 
 
 def _cmd_mfr_sign_fw(args) -> int:
+    _new_files("mfr sign-fw", Path(args.out))
     sk = crypto.load_secret_key(args.key)
     mcrt = documents.load_document(args.cert)
     image = Path(args.image).read_bytes()
     fw_doc = documents.sign_firmware(image, args.meta, sk, mcrt)
-    documents.save_document(fw_doc, args.out)
     if args.store:
         _register(args.store, "firmware", fw_doc)
+    documents.save_document(fw_doc, args.out)
     print(f"fw_doc={documents.doc_digest(fw_doc).hex()}")
     return 0
 

@@ -10,7 +10,8 @@ from the rest of the state.
 Device state persists to `.tltdev` files (binary, documented in
 save_device); the secret key is written separately as a `.tltkey` file and
 never appears in the state file. Loading a file boots the device, so a
-tampered file loads as INTEGRITY_FAILED and the device refuses to attest.
+tampered file that still parses (a document in it must be well-formed) loads
+as INTEGRITY_FAILED and the device refuses to attest.
 """
 
 from __future__ import annotations

@@ -2,7 +2,10 @@
 
 Every signed artefact in the ecosystem (certificates, firmware documents,
 installation and configuration proofs) is a Document: a type tag, an ordered
-field list, and zero or more appended signatures.
+field list, and zero or more appended signatures. A Document is well-formed by
+construction: its constructor raises MalformedDocument unless the fields are
+exactly its type's layout (_REQUIRED_FIELDS), so every document read from
+disk, a socket or a `.tltdev` file fails closed where it is decoded.
 
 Wire format (the `.tltdoc` file content is exactly these bytes):
 
@@ -29,7 +32,7 @@ from pathlib import Path
 
 from . import crypto
 from .crypto import PublicKey, SecretKey
-from .errors import ConstraintViolation, InvalidKey, MalformedDocument, NonCanonicalField
+from .errors import ConstraintViolation, InvalidKey, MalformedDocument
 
 DOC_ROOT = 0x01
 DOC_MANUFACTURER = 0x02
@@ -127,17 +130,41 @@ DOC_FILE_EXT = ".tltdoc"
 
 @dataclass(frozen=True)
 class Document:
-    """Canonical signed artefact. Immutable; signing returns a new value."""
+    """Canonical signed artefact. Immutable; signing returns a new value.
+
+    Well-formed by construction: the fields follow _REQUIRED_FIELDS[doc_type]
+    tag for tag, at their fixed lengths, a device certificate's UUID is a
+    version-4 UUID, and each signature entry is signer_hint(16) || signature(64).
+    Anything else raises MalformedDocument.
+    """
 
     doc_type: int
     fields: tuple[tuple[int, bytes], ...]
     signatures: tuple[tuple[bytes, bytes], ...] = ()
 
+    def __post_init__(self):
+        layout = _REQUIRED_FIELDS.get(self.doc_type)
+        if layout is None:
+            raise MalformedDocument(f"unknown doc_type 0x{self.doc_type:02x}")
+        name = DOC_TYPE_NAMES[self.doc_type]
+        if len(self.fields) != len(layout):
+            raise MalformedDocument(f"{name} document has wrong field count")
+        for (tag, value), (want_tag, want_len) in zip(self.fields, layout):
+            if tag != want_tag:
+                raise MalformedDocument(f"{name} document missing field 0x{want_tag:02x}")
+            if want_len is not None and len(value) != want_len:
+                raise MalformedDocument(f"field 0x{tag:02x} has wrong length")
+        if self.doc_type == DOC_DEVICE and not crypto.is_uuid4(self.field(DEV_UUID)):
+            raise MalformedDocument("device uuid is not a valid random UUID")
+        for hint, sig in self.signatures:
+            if len(hint) != crypto.KEY_ID_LEN or len(sig) != crypto.SIGNATURE_LEN:
+                raise MalformedDocument("malformed signature entry")
+
     def field(self, tag: int) -> bytes:
         for t, value in self.fields:
             if t == tag:
                 return value
-        raise MalformedDocument(f"no field 0x{tag:02x} in {DOC_TYPE_NAMES.get(self.doc_type, '?')} document")
+        raise MalformedDocument(f"no field 0x{tag:02x} in {DOC_TYPE_NAMES[self.doc_type]} document")
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +231,7 @@ class Reader:
 
 
 def encode_canonical(doc: Document) -> bytes:
-    """Deterministic byte encoding; raises NonCanonicalField on bad shape."""
+    """Deterministic byte encoding; every Document has one."""
     return _encode(doc, len(doc.signatures))
 
 
@@ -214,25 +241,11 @@ def signing_payload(doc: Document, num_signatures: int) -> bytes:
 
 
 def _encode(doc: Document, num_signatures: int) -> bytes:
-    if doc.doc_type not in DOC_TYPE_NAMES:
-        raise NonCanonicalField(f"unknown doc_type 0x{doc.doc_type:02x}")
-    if len(doc.fields) > 0xFF:
-        raise NonCanonicalField("too many fields")
     out = bytearray([doc.doc_type, len(doc.fields)])
-    prev_tag = -1
     for tag, value in doc.fields:
-        if not 0 <= tag <= 0xFF:
-            raise NonCanonicalField(f"field tag {tag} out of range")
-        if tag <= prev_tag:
-            raise NonCanonicalField("field tags must be strictly ascending")
-        if len(value) > 0xFFFFFFFF:
-            raise NonCanonicalField("field value too long")
-        prev_tag = tag
         out.append(tag)
         out += prefixed(value)
     for hint, sig in doc.signatures[:num_signatures]:
-        if len(hint) != crypto.KEY_ID_LEN or len(sig) != crypto.SIGNATURE_LEN:
-            raise NonCanonicalField("malformed signature entry")
         out += hint
         out += sig
     return bytes(out)
@@ -242,20 +255,11 @@ def decode(data: bytes) -> Document:
     """Exact inverse of encode_canonical; raises MalformedDocument otherwise."""
     r = Reader(data)
     doc_type, field_count = r.take(2)
-    if doc_type not in DOC_TYPE_NAMES:
-        raise MalformedDocument(f"unknown doc_type 0x{doc_type:02x}")
-    fields = []
-    prev_tag = -1
-    for _ in range(field_count):
-        tag = r.u8()
-        if tag <= prev_tag:
-            raise MalformedDocument("field tags not strictly ascending")
-        prev_tag = tag
-        fields.append((tag, r.prefixed()))
+    fields = tuple((r.u8(), r.prefixed()) for _ in range(field_count))
     entries = r.rest()
     if len(entries) % SIG_ENTRY_LEN != 0:
         raise MalformedDocument("trailing bytes are not whole signature entries")
-    return Document(doc_type, tuple(fields), tuple(_SIG_ENTRY.iter_unpack(entries)))
+    return Document(doc_type, fields, tuple(_SIG_ENTRY.iter_unpack(entries)))
 
 
 def append_signature(doc: Document, sk: SecretKey) -> Document:
@@ -286,13 +290,8 @@ def embedded_public_key(doc: Document) -> PublicKey:
     """Public key carried by a certificate-type document."""
     tag = _EMBEDDED_KEY_TAG.get(doc.doc_type)
     if tag is None:
-        raise MalformedDocument(f"{DOC_TYPE_NAMES.get(doc.doc_type, '?')} documents carry no key")
-    return _parse_pk(doc.field(tag))
-
-
-def _parse_pk(raw: bytes) -> PublicKey:
-    if len(raw) != _PK_FIELD_LEN:
-        raise InvalidKey(f"bad public key field length {len(raw)}")
+        raise MalformedDocument(f"{DOC_TYPE_NAMES[doc.doc_type]} documents carry no key")
+    raw = doc.field(tag)  # its length is fixed by the layout; PublicKey checks the suite
     return PublicKey(raw[0], raw[1:])
 
 
@@ -438,26 +437,6 @@ def _fail(reason: str, constraint: bool = False) -> ChainResult:
     return ChainResult(False, reason, constraint)
 
 
-def _well_formed(doc: Document) -> str | None:
-    """Structural check; returns a reason string on failure."""
-    layout = _REQUIRED_FIELDS.get(doc.doc_type)
-    if layout is None:
-        return f"unknown doc_type 0x{doc.doc_type:02x}"
-    if len(doc.fields) != len(layout):
-        return f"{DOC_TYPE_NAMES[doc.doc_type]} document has wrong field count"
-    for (tag, value), (want_tag, want_len) in zip(doc.fields, layout):
-        if tag != want_tag:
-            return f"{DOC_TYPE_NAMES[doc.doc_type]} document missing field 0x{want_tag:02x}"
-        if want_len is not None and len(value) != want_len:
-            return f"field 0x{tag:02x} has wrong length"
-    if doc.doc_type == DOC_DEVICE and not crypto.is_uuid4(doc.field(DEV_UUID)):
-        return "device uuid is not a valid random UUID"
-    for hint, sig in doc.signatures:
-        if len(hint) != crypto.KEY_ID_LEN or len(sig) != crypto.SIGNATURE_LEN:
-            return "malformed signature entry"
-    return None
-
-
 def signatures_verify(doc: Document, issuer_pk: PublicKey) -> str | None:
     """None when every signature on doc verifies under issuer_pk, else a reason."""
     if not doc.signatures:
@@ -485,19 +464,12 @@ def verify_chain(chain: list[Document] | tuple[Document, ...], root: Document) -
     """
     if not chain:
         return _fail("empty chain")
-    for doc in chain:
-        reason = _well_formed(doc)
-        if reason:
-            return _fail(reason)
 
     anchor = chain[-1]
     if anchor.doc_type != DOC_ROOT:
         return _fail("chain does not end at a root certificate")
-    try:
-        if encode_canonical(anchor) != encode_canonical(root):
-            return _fail("chain root differs from the trust anchor")
-    except NonCanonicalField as exc:
-        return _fail(str(exc))
+    if encode_canonical(anchor) != encode_canonical(root):
+        return _fail("chain root differs from the trust anchor")
     if len(anchor.signatures) != 1:
         return _fail("root certificate must carry exactly one signature")
     try:
@@ -511,8 +483,8 @@ def verify_chain(chain: list[Document] | tuple[Document, ...], root: Document) -
     for child, issuer in zip(chain, chain[1:]):
         if issuer.doc_type != _ISSUERS.get(child.doc_type, (None,))[0]:
             return _fail(
-                f"{DOC_TYPE_NAMES.get(issuer.doc_type, '?')} document cannot issue "
-                f"{DOC_TYPE_NAMES.get(child.doc_type, '?')} documents"
+                f"{DOC_TYPE_NAMES[issuer.doc_type]} document cannot issue "
+                f"{DOC_TYPE_NAMES[child.doc_type]} documents"
             )
         if issuer_key(child) not in (None, certificate_key(issuer)):
             child_name, issuer_name = DOC_TYPE_NAMES[child.doc_type], DOC_TYPE_NAMES[issuer.doc_type]

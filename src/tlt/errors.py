@@ -19,12 +19,8 @@ class InvalidKey(TltError):
     """Key material is malformed or does not match its counterpart."""
 
 
-class NonCanonicalField(TltError):
-    """Document fields violate canonical form (tag order, duplicate, size)."""
-
-
 class MalformedDocument(TltError):
-    """Bytes do not parse as a canonical document or device state file."""
+    """Bytes or fields do not form a canonical document or device state file."""
 
 
 class ChainInvalid(TltError):

@@ -25,8 +25,9 @@ Responses:
 
 DEV payload: len(4, big-endian) || device certificate || len(4) ||
 manufacturer certificate. The client raises ParseError on a cut or extended
-payload, and unless the second is the certificate the first names as its
-issuer (documents.issuer_key) and the first names the UUID asked for. STATE
+payload or a malformed certificate (one that documents.decode refuses), and
+unless the second is the certificate the first names as its issuer
+(documents.issuer_key) and the first names the UUID asked for. STATE
 payload: current flag(1) || firmware metadata (UTF-8). The client raises
 ParseError on an empty payload or a flag other than 0 or 1.
 

@@ -5,11 +5,12 @@ store's root. Its issuers come from registered records, found by following
 documents.issuer_key up to the root; a missing one raises UnknownIssuer
 naming its type ("device is not registered"). Store.register then admits
 each document type in one branch that makes every check for that type (no
-duplicate certificate, registered firmware, an installation before any
-configuration, a rising configuration seq) before it writes anything, so a
-rejected record leaves the store as it was. The store computes each state
-digest itself from the device's latest installation and configuration and
-keeps every digest a device has had, so the index is derivable from the log.
+duplicate certificate or firmware, registered firmware, an installation
+before any configuration, a rising configuration seq) before it writes
+anything, so a rejected record leaves the store as it was. The store
+computes each state digest itself from the device's latest installation and
+configuration and keeps every digest a device has had, so the index is
+derivable from the log.
 
 Log format (`.tltlog`): one ASCII line per record, each ending in LF,
 
@@ -107,7 +108,10 @@ class Store:
         # One branch per type: every check runs before the first write.
         seq = len(self.records)
         if doc.doc_type == documents.DOC_FIRMWARE:
-            self._firmware[documents.doc_digest(doc)] = seq
+            digest = documents.doc_digest(doc)
+            if digest in self._firmware:
+                raise ConstraintViolation("firmware already registered")
+            self._firmware[digest] = seq
         elif doc.doc_type in (documents.DOC_MANUFACTURER, documents.DOC_DEVICE):
             key = documents.certificate_key(doc)
             if key in self._certs:

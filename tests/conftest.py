@@ -3,10 +3,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import settings
 
 from tlt import crypto, documents
 from tlt.device import DeviceState, device_birth
 from tlt.store import Store
+
+# Every property test draws the same examples on every run, so a failure
+# reproduces from the commit alone; no example database is read or written.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 @dataclass

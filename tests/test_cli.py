@@ -147,6 +147,8 @@ def test_authority_init_never_overwrites(workspace, capsys, monkeypatch):
 
 
 _REGISTER = ["mfr", "register", "--store", "s.tltlog", "--authority-key", "authority.tltkey", "--info", "Other"]
+_SIGN_FW = ["mfr", "sign-fw", "--store", "s.tltlog", "--key", "acme.tltkey", "--cert", "acme.tltdoc",
+            "--image", "fw.bin", "--meta", "lock v2.0"]
 _BIRTH = ["device", "birth", "--store", "s.tltlog", "--mfr-key", "acme.tltkey", "--mfr-cert", "acme.tltdoc",
           "--info", "other lock"]
 
@@ -157,23 +159,39 @@ _BIRTH = ["device", "birth", "--store", "s.tltlog", "--mfr-key", "acme.tltkey", 
     (_REGISTER + ["--key", "nodir/new.tltkey"], []),
     (_BIRTH + ["--out", "dev.tltdev"], ["dev.tltdev", "dev.tltkey"]),
     (_BIRTH + ["--out", "nodir/new.tltdev"], []),
+    (_SIGN_FW + ["--out", "fw.tltdoc"], ["fw.tltdoc"]),
+    (_SIGN_FW + ["--out", "nodir/new.tltdoc"], []),
 ], ids=["register-again", "register-onto-a-certificate", "register-into-no-directory",
-        "birth-again", "birth-into-no-directory"])
+        "birth-again", "birth-into-no-directory", "sign-fw-again", "sign-fw-into-no-directory"])
 def test_register_and_birth_never_replace_files(workspace, capsys, monkeypatch, argv, kept):
-    """A write onto an existing output, or into a missing directory, is refused before any draw or record."""
+    """A write onto an existing output, or into a missing directory, is refused before any key or record."""
     _provision(workspace, capsys)
     kept = ["s.tltlog", *kept]
     before = {name: (workspace / name).read_bytes() for name in kept}
 
-    def no_draw(*_args, **_kwargs):
-        raise AssertionError("a key was drawn")
+    def refuse(what):
+        def fail(*_args, **_kwargs):
+            raise AssertionError(what)
+        return fail
 
-    monkeypatch.setattr(crypto, "generate_keypair", no_draw)
+    monkeypatch.setattr(crypto, "generate_keypair", refuse("a key was drawn"))
+    monkeypatch.setattr(crypto, "load_secret_key", refuse("a key was loaded"))
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("UsageError: ") and err.count("\n") == 1
     assert {name: (workspace / name).read_bytes() for name in kept} == before
     assert not list(workspace.glob("new.*")) and not (workspace / "nodir").exists()
+
+
+def test_sign_fw_of_a_registered_firmware_writes_no_file(workspace, capsys):
+    """The store refuses a firmware document it already holds, before sign-fw writes its output."""
+    _provision(workspace, capsys)
+    before = (workspace / "s.tltlog").read_bytes()
+    argv = _SIGN_FW[:-1] + ["lock v1.0", "--out", "again.tltdoc"]  # the provisioned firmware, signed again
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "ConstraintViolation: firmware already registered\n"
+    assert (workspace / "s.tltlog").read_bytes() == before
+    assert not (workspace / "again.tltdoc").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from tlt import crypto, documents
 from tlt.device import device_birth
 from tlt.documents import Document
-from tlt.errors import ChainInvalid, ConstraintViolation, InvalidKey, MalformedDocument, NonCanonicalField
+from tlt.errors import ChainInvalid, ConstraintViolation, InvalidKey, MalformedDocument
 from tlt.store import Store
 
 
@@ -30,24 +30,28 @@ def test_encode_decode_round_trip(stack):
         assert documents.encode_canonical(documents.decode(encoded)) == encoded
 
 
+_PK = bytes([crypto.SUITE_ED25519_SHA256]) + bytes(crypto.PUBLIC_KEY_LEN)
+
+
 def test_encoding_deterministic():
-    a = Document(documents.DOC_ROOT, ((1, b"info"), (2, b"key")))
-    b = Document(documents.DOC_ROOT, ((1, b"info"), (2, b"key")))
+    a = Document(documents.DOC_ROOT, ((documents.ROOT_INFO, b"info"), (documents.ROOT_PUBKEY, _PK)))
+    b = Document(documents.DOC_ROOT, ((documents.ROOT_INFO, b"info"), (documents.ROOT_PUBKEY, _PK)))
     assert documents.encode_canonical(a) == documents.encode_canonical(b)
 
 
 def test_swapping_field_values_changes_encoding_and_digest():
-    a = Document(documents.DOC_ROOT, ((1, b"alpha"), (2, b"beta")))
-    b = Document(documents.DOC_ROOT, ((1, b"beta"), (2, b"alpha")))
+    alpha, beta = b"alpha".ljust(len(_PK), b"."), b"beta".ljust(len(_PK), b".")
+    a = Document(documents.DOC_ROOT, ((documents.ROOT_INFO, alpha), (documents.ROOT_PUBKEY, beta)))
+    b = Document(documents.DOC_ROOT, ((documents.ROOT_INFO, beta), (documents.ROOT_PUBKEY, alpha)))
     assert documents.encode_canonical(a) != documents.encode_canonical(b)
     assert documents.doc_digest(a) != documents.doc_digest(b)
 
 
 def test_encode_rejects_non_ascending_tags():
-    with pytest.raises(NonCanonicalField):
-        documents.encode_canonical(Document(documents.DOC_ROOT, ((2, b"x"), (1, b"y"))))
-    with pytest.raises(NonCanonicalField):
-        documents.encode_canonical(Document(documents.DOC_ROOT, ((1, b"x"), (1, b"y"))))
+    with pytest.raises(MalformedDocument):
+        Document(documents.DOC_ROOT, ((documents.ROOT_PUBKEY, _PK), (documents.ROOT_INFO, b"y")))
+    with pytest.raises(MalformedDocument):
+        Document(documents.DOC_ROOT, ((documents.ROOT_INFO, b"x"), (documents.ROOT_INFO, b"y")))
 
 
 def test_decode_truncated_raises(stack):
@@ -75,22 +79,54 @@ def test_decode_fuzz_never_crashes(rng):
     assert outcomes["malformed"] > 0
 
 
-_field_values = st.binary(max_size=40)
-_doc_strategy = st.builds(
-    Document,
-    st.sampled_from(sorted(documents.DOC_TYPE_NAMES)),
-    st.lists(_field_values, max_size=6).map(
-        lambda values: tuple((i + 1, v) for i, v in enumerate(values))
-    ),
-    st.lists(st.tuples(st.binary(min_size=16, max_size=16), st.binary(min_size=64, max_size=64)), max_size=2).map(tuple),
+def _field_value(doc_type: int, tag: int, length: int | None):
+    if doc_type == documents.DOC_DEVICE and tag == documents.DEV_UUID:
+        return st.uuids(version=4).map(lambda u: u.bytes)
+    return st.binary(max_size=40) if length is None else st.binary(min_size=length, max_size=length)
+
+
+def _layout_fields(doc_type: int):
+    layout = documents._REQUIRED_FIELDS[doc_type]
+    values = [_field_value(doc_type, tag, length) for tag, length in layout]
+    return st.tuples(*values).map(lambda vs: tuple((tag, v) for (tag, _), v in zip(layout, vs)))
+
+
+_layout_shapes = st.sampled_from(sorted(documents.DOC_TYPE_NAMES)).flatmap(
+    lambda doc_type: st.tuples(st.just(doc_type), _layout_fields(doc_type))
 )
+_signatures = st.lists(
+    st.tuples(st.binary(min_size=16, max_size=16), st.binary(min_size=64, max_size=64)), max_size=2
+).map(tuple)
 
 
 @settings(max_examples=200)
-@given(_doc_strategy)
-def test_canonical_stability_property(doc):
+@given(_layout_shapes, _signatures)
+def test_canonical_stability_property(shape, signatures):
+    doc = Document(*shape, signatures)
     encoded = documents.encode_canonical(doc)
     assert documents.decode(encoded) == doc
+
+
+# Mostly wrong shapes, sometimes exactly a layout; tags, lengths and signature
+# entries may be off by one.
+_any_shapes = st.one_of(
+    _layout_shapes,
+    st.tuples(st.integers(0, 8), st.lists(st.tuples(st.integers(0, 5), st.binary(max_size=40)), max_size=5).map(tuple)),
+)
+_any_signatures = st.lists(
+    st.tuples(st.binary(min_size=15, max_size=17), st.binary(min_size=63, max_size=65)), max_size=2
+).map(tuple)
+
+
+@settings(max_examples=200)
+@given(_any_shapes, _any_signatures)
+def test_any_shape_is_refused_or_round_trips(shape, signatures):
+    """A Document exists only in a shape that encodes and decodes back to itself."""
+    try:
+        doc = Document(*shape, signatures)
+    except MalformedDocument:
+        return
+    assert documents.decode(documents.encode_canonical(doc)) == doc
 
 
 # ---------------------------------------------------------------------------

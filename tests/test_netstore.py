@@ -161,6 +161,22 @@ def test_every_cut_and_extension_of_a_dev_answer_is_a_parse_error(stack):
         pytest.fail(f"{case}: decoded without a ParseError")
 
 
+def test_a_dev_answer_with_a_malformed_certificate_is_a_parse_error(stack):
+    """A device certificate whose key field is one byte short, in otherwise valid framing, is a ParseError."""
+    uuid = stack.dev.uuid
+    view = stack.store.lookup_device(uuid)
+    dcrt = view.certificate
+    fields = b"".join(
+        bytes([tag]) + documents.prefixed(value[:-1] if tag == documents.DEV_PUBKEY else value)
+        for tag, value in dcrt.fields
+    )
+    short = bytes([dcrt.doc_type, len(dcrt.fields)]) + fields + b"".join(h + sig for h, sig in dcrt.signatures)
+    assert len(short) == len(documents.encode_canonical(dcrt)) - 1
+    payload = documents.prefixed(short) + documents.prefixed(documents.encode_canonical(view.mfr_certificate))
+    with pytest.raises(ParseError, match="malformed device payload"):
+        netstore.decode_device_payload(payload, uuid)
+
+
 def test_not_found_and_bad_requests(stack, rng):
     assert handle_request_line(stack.store, f"DEV {crypto.generate_uuid(rng).hex()}") == "ERR NOTFOUND"
     assert handle_request_line(stack.store, "DEV nothex") == "ERR BADREQ"

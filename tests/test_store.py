@@ -153,6 +153,7 @@ def test_rejected_register_leaves_the_store_unchanged(stack):
     rejected = [
         ("device", dcrt2, DuplicateUuid),
         ("manufacturer", stack.mcrt, ConstraintViolation),
+        ("firmware", stack.fw_doc, ConstraintViolation),
         ("installation", inst2, ConstraintViolation),
         ("configuration", early_cfg, ConstraintViolation),
         ("configuration", stale_cfg, ConstraintViolation),
@@ -438,6 +439,24 @@ def test_load_rejects_kind_that_does_not_name_the_document(tmp_path):
         with pytest.raises(CorruptLog) as exc_info:
             load_store(bad)
         assert exc_info.value.seq == seq, kind
+
+
+def test_log_cut_anywhere_in_its_last_record_fails_at_that_record(tmp_path, stack):
+    """A cut inside the last line is a CorruptLog at its seq; at a line boundary the shorter store loads."""
+    path = tmp_path / "s.tltlog"
+    stack.store.persist(path)
+    blob = path.read_bytes()
+    last_seq = len(stack.store.records) - 1
+    last_start = blob.rindex(b"\n", 0, -1) + 1
+    for n in range(last_start, len(blob)):
+        path.write_bytes(blob[:n])
+        if n in (last_start, len(blob) - 1):  # the whole previous record, or all but the final LF
+            kept = last_seq if n == last_start else last_seq + 1
+            assert load_store(path).records == stack.store.records[:kept], n
+            continue
+        with pytest.raises(CorruptLog) as exc_info:
+            load_store(path)
+        assert exc_info.value.seq == last_seq, n
 
 
 def test_load_rejects_non_ascii_and_non_canonical_lines(tmp_path, stack):
