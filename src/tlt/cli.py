@@ -28,6 +28,7 @@ import argparse
 import contextlib
 import os
 import sys
+import threading
 from pathlib import Path
 
 from . import crypto, documents, netstore, threats, transport
@@ -288,15 +289,10 @@ def _cmd_device_respond(args) -> int:
 
 def _cmd_store_serve(args) -> int:
     st = store_mod.load_store(_need_store(args))
-    server = netstore.StoreServer(st, args.host, args.port)
-    host, port = server.address
-    print(f"serving {args.store} on {host}:{port}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
+    with netstore.StoreServer(st, args.host, args.port) as server, contextlib.suppress(KeyboardInterrupt):
+        host, port = server.address
+        print(f"serving {args.store} on {host}:{port}", flush=True)
+        threading.Event().wait()  # the main thread only waits for Ctrl-C; stop() runs on the way out
     return 0
 
 

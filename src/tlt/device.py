@@ -76,9 +76,7 @@ class DeviceState:
         trusted root. The image must match its signed digest; otherwise the
         device state is left untouched.
         """
-        result = documents.verify_chain([fw_doc, *chain, self.trusted_root], self.trusted_root)
-        if not result:
-            raise ChainInvalid(result.reason)
+        documents.verify_chain([fw_doc, *chain, self.trusted_root], self.trusted_root)
         if fw_doc.doc_type != documents.DOC_FIRMWARE:
             raise ChainInvalid("document is not a firmware document")
         if crypto.digest(fw_image) != fw_doc.field(documents.FW_IMAGE_DIGEST):
@@ -139,18 +137,20 @@ class DeviceState:
         if inst is None:
             self.boot_status = BootStatus.UNPROGRAMMED
             return self.boot_status
-        ok = (
+        try:
             documents.verify_chain([self.trusted_root], self.trusted_root)
-            and inst.doc_type == documents.DOC_INSTALLATION
-            and documents.subject_uuid(inst) == self.uuid
-            and inst.field(documents.INST_FW_DOC_DIGEST) in self.verified_digests
-            and documents.signatures_verify(inst, self.public_key) is None
-        )
-        if ok and self.cfg is not None:
             ok = (
-                documents.subject_uuid(self.cfg) == self.uuid
-                and documents.signatures_verify(self.cfg, self.public_key) is None
+                inst.doc_type == documents.DOC_INSTALLATION
+                and documents.subject_uuid(inst) == self.uuid
+                and inst.field(documents.INST_FW_DOC_DIGEST) in self.verified_digests
             )
+            if ok:
+                documents.signatures_verify(inst, self.public_key)
+                ok = self.cfg is None or documents.subject_uuid(self.cfg) == self.uuid
+            if ok and self.cfg is not None:
+                documents.signatures_verify(self.cfg, self.public_key)
+        except ChainInvalid:
+            ok = False
         self.boot_status = BootStatus.OPERATIONAL if ok else BootStatus.INTEGRITY_FAILED
         return self.boot_status
 
@@ -163,9 +163,7 @@ def device_birth(
     The device keeps only the certificate digest and a copy of the root; the
     full certificate is returned for registration with the store.
     """
-    result = documents.verify_chain([mfr_cert, root], root)
-    if not result:
-        raise ChainInvalid(f"manufacturer does not chain to the root: {result.reason}")
+    documents.verify_chain([mfr_cert, root], root)
     documents.check_manufacturer_key(mfr_sk, mfr_cert)
     uuid = crypto.generate_uuid(rng)
     public_key, secret_key = crypto.generate_keypair(rng)

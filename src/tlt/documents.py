@@ -4,8 +4,10 @@ Every signed artefact in the ecosystem (certificates, firmware documents,
 installation and configuration proofs) is a Document: a type tag, an ordered
 field list, and zero or more appended signatures. A Document is well-formed by
 construction: its constructor raises MalformedDocument unless the fields are
-exactly its type's layout (_REQUIRED_FIELDS), so every document read from
-disk, a socket or a `.tltdev` file fails closed where it is decoded.
+exactly its type's layout (_REQUIRED_FIELDS) and every key field names suite
+0x01, so every document read from disk, a socket or a `.tltdev` file fails
+closed where it is decoded. verify_chain, the one chain-of-trust check,
+returns None or raises ChainInvalid naming the first check that failed.
 
 Wire format (the `.tltdoc` file content is exactly these bytes):
 
@@ -32,7 +34,7 @@ from pathlib import Path
 
 from . import crypto
 from .crypto import PublicKey, SecretKey
-from .errors import ConstraintViolation, InvalidKey, MalformedDocument
+from .errors import ChainInvalid, ConstraintViolation, InvalidKey, MalformedDocument
 
 DOC_ROOT = 0x01
 DOC_MANUFACTURER = 0x02
@@ -133,9 +135,10 @@ class Document:
     """Canonical signed artefact. Immutable; signing returns a new value.
 
     Well-formed by construction: the fields follow _REQUIRED_FIELDS[doc_type]
-    tag for tag, at their fixed lengths, a device certificate's UUID is a
-    version-4 UUID, and each signature entry is signer_hint(16) || signature(64).
-    Anything else raises MalformedDocument.
+    tag for tag, at their fixed lengths, a key field is suite 0x01 (Ed25519)
+    followed by its key, a device certificate's UUID is a version-4 UUID, and
+    each signature entry is signer_hint(16) || signature(64). Anything else
+    raises MalformedDocument, so embedded_public_key never fails on a Document.
     """
 
     doc_type: int
@@ -154,6 +157,9 @@ class Document:
                 raise MalformedDocument(f"{name} document missing field 0x{want_tag:02x}")
             if want_len is not None and len(value) != want_len:
                 raise MalformedDocument(f"field 0x{tag:02x} has wrong length")
+        key_tag = _EMBEDDED_KEY_TAG.get(self.doc_type)
+        if key_tag is not None and (suite := self.field(key_tag)[0]) != crypto.SUITE_ED25519_SHA256:
+            raise MalformedDocument(f"{name} key has unsupported suite 0x{suite:02x}")
         if self.doc_type == DOC_DEVICE and not crypto.is_uuid4(self.field(DEV_UUID)):
             raise MalformedDocument("device uuid is not a valid random UUID")
         for hint, sig in self.signatures:
@@ -291,7 +297,7 @@ def embedded_public_key(doc: Document) -> PublicKey:
     tag = _EMBEDDED_KEY_TAG.get(doc.doc_type)
     if tag is None:
         raise MalformedDocument(f"{DOC_TYPE_NAMES[doc.doc_type]} documents carry no key")
-    raw = doc.field(tag)  # its length is fixed by the layout; PublicKey checks the suite
+    raw = doc.field(tag)  # Document fixes its length and suite
     return PublicKey(raw[0], raw[1:])
 
 
@@ -421,81 +427,53 @@ def state_digest(inst_doc: Document, cfg_doc: Document | None, uuid: bytes) -> b
 # Chain verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChainResult:
-    """Truthy verification outcome with a diagnostic reason on failure."""
-
-    ok: bool
-    reason: str = ""
-    constraint: bool = False  # failed on identity binding rather than crypto
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _fail(reason: str, constraint: bool = False) -> ChainResult:
-    return ChainResult(False, reason, constraint)
-
-
-def signatures_verify(doc: Document, issuer_pk: PublicKey) -> str | None:
-    """None when every signature on doc verifies under issuer_pk, else a reason."""
+def signatures_verify(doc: Document, issuer_pk: PublicKey) -> None:
+    """ChainInvalid unless doc is signed and every signature verifies under issuer_pk."""
     if not doc.signatures:
-        return f"{DOC_TYPE_NAMES[doc.doc_type]} document is unsigned"
+        raise ChainInvalid(f"{DOC_TYPE_NAMES[doc.doc_type]} document is unsigned")
     want_hint = crypto.key_id(issuer_pk)
     for i, (hint, sig) in enumerate(doc.signatures):
         if hint != want_hint:
-            return "signer hint does not match the issuing key"
+            raise ChainInvalid("signer hint does not match the issuing key")
         if not crypto.verify(issuer_pk, signing_payload(doc, i), sig):
-            return f"signature {i} on {DOC_TYPE_NAMES[doc.doc_type]} document does not verify"
-    return None
+            raise ChainInvalid(f"signature {i} on {DOC_TYPE_NAMES[doc.doc_type]} document does not verify")
 
 
-def verify_chain(chain: list[Document] | tuple[Document, ...], root: Document) -> ChainResult:
+def verify_chain(chain: list[Document] | tuple[Document, ...], root: Document) -> None:
     """Verify a leaf-to-root document chain against a trust anchor.
 
     The chain is ordered leaf first and must end with the root itself. Each
     document's signatures must verify under the embedded key of the next
-    document, the final document must byte-equal the anchor and self-verify,
-    and identity bindings must hold: each document's issuer is of the type
-    _ISSUERS allows and carries the id the document names it by (issuer_key),
-    i.e. the manufacturer id or the device UUID.
+    document (always suite 0x01: Document refuses any other), the final
+    document must byte-equal the anchor and self-verify, and identity bindings
+    must hold: each document's issuer is of the type _ISSUERS allows and
+    carries the id the document names it by (issuer_key), i.e. the
+    manufacturer id or the device UUID.
 
-    Failures return a falsy ChainResult carrying a diagnostic reason.
+    Returns None; the first failed check raises ChainInvalid with its reason.
     """
     if not chain:
-        return _fail("empty chain")
+        raise ChainInvalid("empty chain")
 
     anchor = chain[-1]
     if anchor.doc_type != DOC_ROOT:
-        return _fail("chain does not end at a root certificate")
+        raise ChainInvalid("chain does not end at a root certificate")
     if encode_canonical(anchor) != encode_canonical(root):
-        return _fail("chain root differs from the trust anchor")
+        raise ChainInvalid("chain root differs from the trust anchor")
     if len(anchor.signatures) != 1:
-        return _fail("root certificate must carry exactly one signature")
+        raise ChainInvalid("root certificate must carry exactly one signature")
     try:
-        root_pk = embedded_public_key(anchor)
-    except InvalidKey as exc:
-        return _fail(str(exc))
-    reason = signatures_verify(anchor, root_pk)
-    if reason:
-        return _fail(f"root does not self-verify: {reason}")
+        signatures_verify(anchor, embedded_public_key(anchor))
+    except ChainInvalid as exc:
+        raise ChainInvalid(f"root does not self-verify: {exc}") from None
 
     for child, issuer in zip(chain, chain[1:]):
         if issuer.doc_type != _ISSUERS.get(child.doc_type, (None,))[0]:
-            return _fail(
+            raise ChainInvalid(
                 f"{DOC_TYPE_NAMES[issuer.doc_type]} document cannot issue "
                 f"{DOC_TYPE_NAMES[child.doc_type]} documents"
             )
         if issuer_key(child) not in (None, certificate_key(issuer)):
             child_name, issuer_name = DOC_TYPE_NAMES[child.doc_type], DOC_TYPE_NAMES[issuer.doc_type]
-            return _fail(f"{child_name} document names another {issuer_name}", constraint=True)
-        try:
-            issuer_pk = embedded_public_key(issuer)
-        except InvalidKey as exc:
-            return _fail(str(exc))
-        reason = signatures_verify(child, issuer_pk)
-        if reason:
-            return _fail(reason)
-
-    return ChainResult(True)
-
+            raise ChainInvalid(f"{child_name} document names another {issuer_name}")
+        signatures_verify(child, embedded_public_key(issuer))

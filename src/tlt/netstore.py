@@ -130,11 +130,7 @@ class _Handler(socketserver.StreamRequestHandler):
 
 
 class StoreServer(socketserver.ThreadingTCPServer):
-    """Serves read-only queries for one store.
-
-    serve_forever() serves on the calling thread; start()/stop() (or the
-    context manager) serve on a background thread instead.
-    """
+    """Serves read-only queries for one store on a background thread, from start() (or `with`) to stop()."""
 
     allow_reuse_address = True
 

@@ -30,14 +30,7 @@ from pathlib import Path
 
 from . import crypto, documents
 from .documents import Document
-from .errors import (
-    ChainInvalid,
-    ConstraintViolation,
-    CorruptLog,
-    DuplicateUuid,
-    NotFound,
-    UnknownIssuer,
-)
+from .errors import ConstraintViolation, CorruptLog, DuplicateUuid, NotFound, UnknownIssuer
 
 _DOC_TYPE_BY_KIND = {name: doc_type for doc_type, name in documents.DOC_TYPE_NAMES.items()}
 
@@ -68,9 +61,7 @@ class Store:
     """In-memory store over an append-only record log. Single writer."""
 
     def __init__(self, root: Document):
-        result = documents.verify_chain([root], root)
-        if not result:
-            raise ChainInvalid(f"root does not self-verify: {result.reason}")
+        documents.verify_chain([root], root)
         self.root = root
         self.records: list[Document] = [root]  # a record's seq is its index
         self._certs: dict[tuple[int, bytes], int] = {}  # documents.certificate_key -> seq
@@ -98,12 +89,7 @@ class Store:
                 f"document type 0x{doc.doc_type:02x} does not match record kind {kind}"
             )
 
-        intermediates = self._resolve_intermediates(doc)
-        result = documents.verify_chain([doc, *intermediates, self.root], self.root)
-        if not result:
-            if result.constraint:
-                raise ConstraintViolation(result.reason)
-            raise ChainInvalid(result.reason)
+        documents.verify_chain([doc, *self._resolve_intermediates(doc), self.root], self.root)
 
         # One branch per type: every check runs before the first write.
         seq = len(self.records)

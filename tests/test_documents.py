@@ -40,11 +40,21 @@ def test_encoding_deterministic():
 
 
 def test_swapping_field_values_changes_encoding_and_digest():
-    alpha, beta = b"alpha".ljust(len(_PK), b"."), b"beta".ljust(len(_PK), b".")
+    alpha, beta = b"\x01alpha".ljust(len(_PK), b"."), b"\x01beta".ljust(len(_PK), b".")
     a = Document(documents.DOC_ROOT, ((documents.ROOT_INFO, alpha), (documents.ROOT_PUBKEY, beta)))
     b = Document(documents.DOC_ROOT, ((documents.ROOT_INFO, beta), (documents.ROOT_PUBKEY, alpha)))
     assert documents.encode_canonical(a) != documents.encode_canonical(b)
     assert documents.doc_digest(a) != documents.doc_digest(b)
+
+
+@pytest.mark.parametrize("suite", [0x00, 0x02, 0xFF])
+@pytest.mark.parametrize("cert", ["root", "mcrt", "dcrt"])
+def test_a_key_field_of_another_suite_is_malformed(stack, cert, suite):
+    """A certificate exists only with a suite-0x01 key, so embedded_public_key cannot fail on it."""
+    doc = getattr(stack, cert)
+    tag = documents._EMBEDDED_KEY_TAG[doc.doc_type]
+    with pytest.raises(MalformedDocument, match=f"key has unsupported suite 0x{suite:02x}$"):
+        _mutate(doc, tag, bytes([suite]) + doc.field(tag)[1:])
 
 
 def test_encode_rejects_non_ascending_tags():
@@ -82,6 +92,8 @@ def test_decode_fuzz_never_crashes(rng):
 def _field_value(doc_type: int, tag: int, length: int | None):
     if doc_type == documents.DOC_DEVICE and tag == documents.DEV_UUID:
         return st.uuids(version=4).map(lambda u: u.bytes)
+    if tag == documents._EMBEDDED_KEY_TAG.get(doc_type):
+        return st.binary(min_size=crypto.PUBLIC_KEY_LEN, max_size=crypto.PUBLIC_KEY_LEN).map(lambda k: b"\x01" + k)
     return st.binary(max_size=40) if length is None else st.binary(min_size=length, max_size=length)
 
 
@@ -136,15 +148,14 @@ def test_any_shape_is_refused_or_round_trips(shape, signatures):
 def test_root_certificate_self_verifies(stack):
     assert stack.root.doc_type == 0x01
     assert len(stack.root.signatures) == 1
-    assert documents.verify_chain([stack.root], stack.root)
+    documents.verify_chain([stack.root], stack.root)
 
 
 def test_root_certificate_tamper_detected(stack):
     info = stack.root.field(documents.ROOT_INFO)
     tampered = _mutate(stack.root, documents.ROOT_INFO, b"X" + info[1:])
-    result = documents.verify_chain([tampered], tampered)
-    assert not result
-    assert result.reason
+    with pytest.raises(ChainInvalid, match="^root does not self-verify: signature 0 on root document does not verify$"):
+        documents.verify_chain([tampered], tampered)
 
 
 def test_root_requires_matching_keypair(rng):
@@ -155,18 +166,19 @@ def test_root_requires_matching_keypair(rng):
 
 
 def test_manufacturer_chains_to_root(stack):
-    assert documents.verify_chain([stack.mcrt, stack.root], stack.root)
+    documents.verify_chain([stack.mcrt, stack.root], stack.root)
     assert len(stack.mcrt.field(documents.MFR_ID)) == 16
 
 
 def test_manufacturer_rejected_under_different_root(rng, stack):
     other_pk, other_sk = crypto.generate_keypair(rng)
     other_root = documents.make_root_certificate("Other Authority", other_pk, other_sk)
-    assert not documents.verify_chain([stack.mcrt, other_root], other_root)
+    with pytest.raises(ChainInvalid, match="^signer hint does not match the issuing key$"):
+        documents.verify_chain([stack.mcrt, other_root], other_root)
 
 
 def test_device_certificate_three_link_chain(stack):
-    assert documents.verify_chain([stack.dcrt, stack.mcrt, stack.root], stack.root)
+    documents.verify_chain([stack.dcrt, stack.mcrt, stack.root], stack.root)
 
 
 def test_device_certificate_uuid_round_trips(stack):
@@ -189,9 +201,8 @@ def test_cross_signed_device_certificate_rejected(rng, stack):
         ),
     )
     forged = documents.append_signature(forged, b_sk)
-    result = documents.verify_chain([forged, mcrt_b, stack.root], stack.root)
-    assert not result
-    assert result.constraint
+    with pytest.raises(ChainInvalid, match="^device document names another manufacturer$"):
+        documents.verify_chain([forged, mcrt_b, stack.root], stack.root)
 
 
 def test_installation_naming_another_device_rejected(rng, stack):
@@ -199,9 +210,8 @@ def test_installation_naming_another_device_rejected(rng, stack):
     forged = documents.make_installation_document(
         stack.fw_doc, crypto.generate_uuid(rng), "slot=0", stack.dev.secret_key
     )
-    result = documents.verify_chain([forged, stack.dcrt, stack.mcrt, stack.root], stack.root)
-    assert not result
-    assert result.constraint
+    with pytest.raises(ChainInvalid, match="^installation document names another device$"):
+        documents.verify_chain([forged, stack.dcrt, stack.mcrt, stack.root], stack.root)
 
 
 def test_make_device_certificate_requires_matching_key(rng, stack):
@@ -234,23 +244,28 @@ def test_make_device_certificate_requires_valid_uuid(rng, stack):
 # ---------------------------------------------------------------------------
 
 def test_verify_chain_rejects_empty(stack):
-    assert not documents.verify_chain([], stack.root)
+    with pytest.raises(ChainInvalid, match="^empty chain$"):
+        documents.verify_chain([], stack.root)
 
 
 def test_verify_chain_rejects_wrong_order(stack):
-    assert not documents.verify_chain([stack.root, stack.mcrt], stack.root)
-    assert not documents.verify_chain([stack.mcrt, stack.dcrt, stack.root], stack.root)
+    with pytest.raises(ChainInvalid, match="^chain does not end at a root certificate$"):
+        documents.verify_chain([stack.root, stack.mcrt], stack.root)
+    with pytest.raises(ChainInvalid, match="^device document cannot issue manufacturer documents$"):
+        documents.verify_chain([stack.mcrt, stack.dcrt, stack.root], stack.root)
 
 
 def test_verify_chain_rejects_unsigned_document(stack):
     unsigned = Document(stack.mcrt.doc_type, stack.mcrt.fields)
-    assert not documents.verify_chain([unsigned, stack.root], stack.root)
+    with pytest.raises(ChainInvalid, match="^manufacturer document is unsigned$"):
+        documents.verify_chain([unsigned, stack.root], stack.root)
 
 
 def test_verify_chain_rejects_root_mismatch(rng, stack):
     other_pk, other_sk = crypto.generate_keypair(rng)
     other_root = documents.make_root_certificate("Shadow Authority", other_pk, other_sk)
-    assert not documents.verify_chain([stack.mcrt, stack.root], other_root)
+    with pytest.raises(ChainInvalid, match="^chain root differs from the trust anchor$"):
+        documents.verify_chain([stack.mcrt, stack.root], other_root)
 
 
 def test_single_byte_corruption_of_each_link_rejected(stack):
@@ -262,17 +277,19 @@ def test_single_byte_corruption_of_each_link_rejected(stack):
             encoded[pos] ^= 0x01
             try:
                 mutated = documents.decode(bytes(encoded))
+            except MalformedDocument:
+                pass
+            else:
                 candidate = list(chain)
                 candidate[link] = mutated
                 anchor = candidate[2] if link == 2 else stack.root
-                assert not documents.verify_chain(candidate, anchor), (link, pos)
-            except MalformedDocument:
-                pass
+                with pytest.raises(ChainInvalid):
+                    documents.verify_chain(candidate, anchor)
             encoded[pos] ^= 0x01
 
 
 def test_firmware_chain_and_digest(stack):
-    assert documents.verify_chain([stack.fw_doc, stack.mcrt, stack.root], stack.root)
+    documents.verify_chain([stack.fw_doc, stack.mcrt, stack.root], stack.root)
     assert stack.fw_doc.field(documents.FW_IMAGE_DIGEST) == hashlib.sha256(stack.fw_image).digest()
 
 
@@ -285,7 +302,8 @@ def test_firmware_digest_tracks_image(stack):
 
 def test_signature_coverage_invalidated_by_field_mutation(stack):
     tampered = _mutate(stack.mcrt, documents.MFR_INFO, b"Totally Legit Acme")
-    assert not documents.verify_chain([tampered, stack.root], stack.root)
+    with pytest.raises(ChainInvalid, match="^signature 0 on manufacturer document does not verify$"):
+        documents.verify_chain([tampered, stack.root], stack.root)
 
 
 def test_append_signature_covers_previous_signatures(stack, rng):

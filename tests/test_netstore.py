@@ -161,18 +161,17 @@ def test_every_cut_and_extension_of_a_dev_answer_is_a_parse_error(stack):
         pytest.fail(f"{case}: decoded without a ParseError")
 
 
-def test_a_dev_answer_with_a_malformed_certificate_is_a_parse_error(stack):
-    """A device certificate whose key field is one byte short, in otherwise valid framing, is a ParseError."""
+@pytest.mark.parametrize(
+    "bad_key", [lambda key: key[:-1], lambda key: b"\x07" + key[1:]], ids=["one-byte-short", "suite-0x07"]
+)
+def test_a_dev_answer_with_a_malformed_certificate_is_a_parse_error(stack, bad_key):
+    """A device certificate whose key field is one byte short or names suite 0x07, in otherwise valid framing, is a ParseError."""
     uuid = stack.dev.uuid
     view = stack.store.lookup_device(uuid)
-    dcrt = view.certificate
-    fields = b"".join(
-        bytes([tag]) + documents.prefixed(value[:-1] if tag == documents.DEV_PUBKEY else value)
-        for tag, value in dcrt.fields
-    )
-    short = bytes([dcrt.doc_type, len(dcrt.fields)]) + fields + b"".join(h + sig for h, sig in dcrt.signatures)
-    assert len(short) == len(documents.encode_canonical(dcrt)) - 1
-    payload = documents.prefixed(short) + documents.prefixed(documents.encode_canonical(view.mfr_certificate))
+    encoded, key = documents.encode_canonical(view.certificate), view.certificate.field(documents.DEV_PUBKEY)
+    bad = encoded.replace(documents.prefixed(key), documents.prefixed(bad_key(key)))
+    assert bad != encoded
+    payload = documents.prefixed(bad) + documents.prefixed(documents.encode_canonical(view.mfr_certificate))
     with pytest.raises(ParseError, match="malformed device payload"):
         netstore.decode_device_payload(payload, uuid)
 
