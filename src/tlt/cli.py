@@ -81,6 +81,13 @@ def _port(text: str) -> int:
     return int(text)
 
 
+def _hex(text: str) -> bytes:
+    try:
+        return bytes.fromhex(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not hex: {text!r}") from None
+
+
 def _address(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     return host or "127.0.0.1", _port(port)
@@ -143,7 +150,7 @@ def build_parser() -> _Parser:
     resp = dsub.add_parser("respond", help="answer a challenge (nonce hex or frame hex)")
     resp.add_argument("--device", required=True, help="device state path")
     resp.add_argument("--key", help="device secret key path")
-    resp.add_argument("--challenge", required=True, help="challenge nonce or challenge frame, hex")
+    resp.add_argument("--challenge", required=True, type=_hex, help="challenge nonce or challenge frame, hex")
 
     st = sub.add_parser("store", help="trust store operations")
     ssub = st.add_subparsers(dest="command", metavar="CMD")
@@ -157,7 +164,7 @@ def build_parser() -> _Parser:
     ver = sub.add_parser("verify", help="user-side verification")
     vsub = ver.add_subparsers(dest="command", metavar="CMD")
     scan = vsub.add_parser("scan", help="extract the UUID from an advertising frame")
-    scan.add_argument("--frame", required=True, help="advertising frame hex")
+    scan.add_argument("--frame", required=True, type=_hex, help="advertising frame hex")
     challenge = vsub.add_parser("challenge", help="scan, challenge and judge a device")
     _add_store_arg(challenge, required=False)
     challenge.add_argument("--connect", type=_address, help="query a served store at HOST:PORT instead of --store")
@@ -275,11 +282,9 @@ def _cmd_device_advertise(args) -> int:
 
 def _cmd_device_respond(args) -> int:
     dev = _load_device(args)
-    raw = bytes.fromhex(args.challenge)
-    if len(raw) == crypto.NONCE_LEN:
-        nonce = raw
-    else:
-        frame = transport.parse_data_frame(raw)
+    nonce = args.challenge
+    if len(nonce) != crypto.NONCE_LEN:
+        frame = transport.parse_data_frame(nonce)
         if frame.frag_total != 1:
             raise MissingFragment("a challenge frame must carry the whole challenge")
         nonce = frame.payload
@@ -317,7 +322,7 @@ def _cmd_store_dump(args) -> int:
 
 
 def _cmd_verify_scan(args) -> int:
-    uuid = verifier_mod.scan(bytes.fromhex(args.frame))
+    uuid = verifier_mod.scan(args.frame)
     print(uuid.hex())
     return 0
 

@@ -29,6 +29,7 @@ from .errors import (
     InvalidKey,
     MalformedDocument,
     NotOperational,
+    ParseError,
     StaleSequence,
 )
 
@@ -120,7 +121,7 @@ class DeviceState:
         """
         self._require_operational()
         if len(challenge) != crypto.NONCE_LEN:
-            raise ValueError(f"challenge must be {crypto.NONCE_LEN} bytes")
+            raise ParseError(f"challenge must be {crypto.NONCE_LEN} bytes")
         to_sign = self.compute_state_digest() + bytes(challenge) + crypto.new_nonce(self.rng)
         response = to_sign + crypto.sign(self.secret_key, to_sign)
         assert len(response) == RESPONSE_LEN
@@ -129,9 +130,9 @@ class DeviceState:
     def simulate_boot(self) -> BootStatus:
         """Re-run boot integrity checks over the stored state documents.
 
-        A device whose trusted root no longer self-verifies, or whose stored
-        installation or configuration no longer verifies under its own key,
-        refuses to attest until reprovisioned.
+        A device whose trusted root no longer self-verifies, or whose
+        installation or configuration slot holds anything but a document of
+        that type about itself, signed by its own key, refuses to attest.
         """
         inst = self.installation
         if inst is None:
@@ -146,7 +147,10 @@ class DeviceState:
             )
             if ok:
                 documents.signatures_verify(inst, self.public_key)
-                ok = self.cfg is None or documents.subject_uuid(self.cfg) == self.uuid
+                ok = self.cfg is None or (
+                    self.cfg.doc_type == documents.DOC_CONFIGURATION
+                    and documents.subject_uuid(self.cfg) == self.uuid
+                )
             if ok and self.cfg is not None:
                 documents.signatures_verify(self.cfg, self.public_key)
         except ChainInvalid:

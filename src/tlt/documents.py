@@ -2,25 +2,24 @@
 
 Every signed artefact in the ecosystem (certificates, firmware documents,
 installation and configuration proofs) is a Document: a type tag, an ordered
-field list, and zero or more appended signatures. A Document is well-formed by
-construction: its constructor raises MalformedDocument unless the fields are
-exactly its type's layout (_REQUIRED_FIELDS) and every key field names suite
-0x01, so every document read from disk, a socket or a `.tltdev` file fails
-closed where it is decoded. verify_chain, the one chain-of-trust check,
-returns None or raises ChainInvalid naming the first check that failed.
+field list, and at most one signature, made by its issuer. A Document is
+well-formed by construction (see Document), so every document read from disk,
+a socket or a `.tltdev` file fails closed where it is decoded. verify_chain,
+the one chain-of-trust check, returns None or raises ChainInvalid naming the
+first check that failed.
 
 Wire format (the `.tltdoc` file content is exactly these bytes):
 
     doc_type     1 byte   (0x01..0x06)
     field_count  1 byte
     fields       field_count times: tag(1) || length(4, big-endian) || value
-    signatures   repeated to end: signer_hint(16) || signature(64)
+    signature    absent (unsigned) or signer_hint(16) || signature(64)
 
 Field tags are strictly ascending within a document, so the encoding is
-injective and byte-stable. Signature i covers the canonical encoding of the
-doc_type, all fields, and signatures 0..i-1, i.e. the byte prefix that
-precedes it. The signer hint is the key id of the signing key and is checked
-during verification, so every byte of a document is covered by some check.
+injective and byte-stable. The signature covers the body, i.e. the byte
+prefix that precedes it: doc_type, field_count and fields. The signer hint is
+the key id of the signing key and is checked during verification, so every
+byte of a document is covered by some check.
 
 Reader and prefixed are the one way binary formats (documents, `.tltdev`
 files, store answers) are read and written; Reader fails closed.
@@ -79,8 +78,7 @@ CFG_UUID = 0x02
 CFG_SEQ = 0x03
 
 MFR_ID_LEN = 16
-SIG_ENTRY_LEN = crypto.KEY_ID_LEN + crypto.SIGNATURE_LEN
-_SIG_ENTRY = struct.Struct(f"{crypto.KEY_ID_LEN}s{crypto.SIGNATURE_LEN}s")  # signer_hint || signature
+SIG_ENTRY_LEN = crypto.KEY_ID_LEN + crypto.SIGNATURE_LEN  # signer_hint || signature
 _PK_FIELD_LEN = 1 + crypto.PUBLIC_KEY_LEN
 _U32 = struct.Struct(">I")
 
@@ -137,13 +135,14 @@ class Document:
     Well-formed by construction: the fields follow _REQUIRED_FIELDS[doc_type]
     tag for tag, at their fixed lengths, a key field is suite 0x01 (Ed25519)
     followed by its key, a device certificate's UUID is a version-4 UUID, and
-    each signature entry is signer_hint(16) || signature(64). Anything else
-    raises MalformedDocument, so embedded_public_key never fails on a Document.
+    the signature is empty (unsigned) or one entry, signer_hint(16) ||
+    signature(64), as on the wire. Anything else raises MalformedDocument, so
+    embedded_public_key never fails on a Document.
     """
 
     doc_type: int
     fields: tuple[tuple[int, bytes], ...]
-    signatures: tuple[tuple[bytes, bytes], ...] = ()
+    signature: bytes = b""
 
     def __post_init__(self):
         layout = _REQUIRED_FIELDS.get(self.doc_type)
@@ -162,9 +161,8 @@ class Document:
             raise MalformedDocument(f"{name} key has unsupported suite 0x{suite:02x}")
         if self.doc_type == DOC_DEVICE and not crypto.is_uuid4(self.field(DEV_UUID)):
             raise MalformedDocument("device uuid is not a valid random UUID")
-        for hint, sig in self.signatures:
-            if len(hint) != crypto.KEY_ID_LEN or len(sig) != crypto.SIGNATURE_LEN:
-                raise MalformedDocument("malformed signature entry")
+        if len(self.signature) not in (0, SIG_ENTRY_LEN):
+            raise MalformedDocument(f"signature entry is {len(self.signature)} bytes, not {SIG_ENTRY_LEN}")
 
     def field(self, tag: int) -> bytes:
         for t, value in self.fields:
@@ -236,24 +234,22 @@ class Reader:
             raise MalformedDocument(f"{len(self._data) - self._pos} trailing bytes")
 
 
+# Both public encoders call _body, never each other: each call of either is one encode.
 def encode_canonical(doc: Document) -> bytes:
     """Deterministic byte encoding; every Document has one."""
-    return _encode(doc, len(doc.signatures))
+    return _body(doc) + doc.signature
 
 
-def signing_payload(doc: Document, num_signatures: int) -> bytes:
-    """The bytes covered by signature number num_signatures (0-based)."""
-    return _encode(doc, num_signatures)
+def signing_payload(doc: Document) -> bytes:
+    """The bytes the signature covers: the encoding without its signature entry."""
+    return _body(doc)
 
 
-def _encode(doc: Document, num_signatures: int) -> bytes:
+def _body(doc: Document) -> bytes:
     out = bytearray([doc.doc_type, len(doc.fields)])
     for tag, value in doc.fields:
         out.append(tag)
         out += prefixed(value)
-    for hint, sig in doc.signatures[:num_signatures]:
-        out += hint
-        out += sig
     return bytes(out)
 
 
@@ -262,17 +258,15 @@ def decode(data: bytes) -> Document:
     r = Reader(data)
     doc_type, field_count = r.take(2)
     fields = tuple((r.u8(), r.prefixed()) for _ in range(field_count))
-    entries = r.rest()
-    if len(entries) % SIG_ENTRY_LEN != 0:
-        raise MalformedDocument("trailing bytes are not whole signature entries")
-    return Document(doc_type, fields, tuple(_SIG_ENTRY.iter_unpack(entries)))
+    return Document(doc_type, fields, r.rest())
 
 
-def append_signature(doc: Document, sk: SecretKey) -> Document:
-    """Sign the document's current canonical bytes and append the signature."""
-    pk = crypto.public_key_of(sk)
-    sig = crypto.sign(sk, signing_payload(doc, len(doc.signatures)))
-    return Document(doc.doc_type, doc.fields, doc.signatures + ((crypto.key_id(pk), sig),))
+def sign(doc: Document, sk: SecretKey) -> Document:
+    """The document signed by sk; MalformedDocument if it is already signed."""
+    if doc.signature:
+        raise MalformedDocument(f"{DOC_TYPE_NAMES[doc.doc_type]} document is already signed")
+    sig = crypto.sign(sk, signing_payload(doc))
+    return Document(doc.doc_type, doc.fields, crypto.key_id(crypto.public_key_of(sk)) + sig)
 
 
 def doc_digest(doc: Document) -> bytes:
@@ -349,7 +343,7 @@ def make_root_certificate(info: str, public_key: PublicKey, secret_key: SecretKe
     """Self-signed root anchoring all chain verification."""
     if crypto.public_key_of(secret_key) != public_key:
         raise InvalidKey("secret key does not match the authority public key")
-    return append_signature(_unsigned(DOC_ROOT, info.encode(), _pk_field(public_key)), secret_key)
+    return sign(_unsigned(DOC_ROOT, info.encode(), _pk_field(public_key)), secret_key)
 
 
 def make_manufacturer_certificate(
@@ -358,7 +352,7 @@ def make_manufacturer_certificate(
     """Authority-signed manufacturer certificate with a fresh 16-byte id."""
     mfr_id = crypto.random_bytes(MFR_ID_LEN, rng)
     doc = _unsigned(DOC_MANUFACTURER, mfr_info.encode(), mfr_id, _pk_field(mfr_pk))
-    return append_signature(doc, authority_sk)
+    return sign(doc, authority_sk)
 
 
 def make_device_certificate(
@@ -370,7 +364,7 @@ def make_device_certificate(
         raise ConstraintViolation("device uuid is not a valid random UUID")
     _, mfr_id = certificate_key(mfr_cert)
     doc = _unsigned(DOC_DEVICE, dinf.encode(), _pk_field(device_pk), bytes(uuid), mfr_id)
-    return append_signature(doc, mfr_sk)
+    return sign(doc, mfr_sk)
 
 
 def sign_firmware(fw_image: bytes, fw_meta: str, mfr_sk: SecretKey, mfr_cert: Document) -> Document:
@@ -378,7 +372,7 @@ def sign_firmware(fw_image: bytes, fw_meta: str, mfr_sk: SecretKey, mfr_cert: Do
     check_manufacturer_key(mfr_sk, mfr_cert)
     _, mfr_id = certificate_key(mfr_cert)
     doc = _unsigned(DOC_FIRMWARE, fw_meta.encode(), crypto.digest(fw_image), mfr_id)
-    return append_signature(doc, mfr_sk)
+    return sign(doc, mfr_sk)
 
 
 def make_installation_document(
@@ -391,7 +385,7 @@ def make_installation_document(
     resolvable.
     """
     doc = _unsigned(DOC_INSTALLATION, doc_digest(fw_doc), bytes(uuid), instinfo.encode())
-    return append_signature(doc, device_sk)
+    return sign(doc, device_sk)
 
 
 def make_configuration_document(
@@ -399,9 +393,9 @@ def make_configuration_document(
 ) -> Document:
     """Device-signed record of the configuration payload digest."""
     if not 0 < seq <= 0xFFFFFFFFFFFFFFFF:
-        raise ValueError("configuration sequence must be a positive 64-bit integer")
+        raise ConstraintViolation("configuration sequence must be a positive 64-bit integer")
     doc = _unsigned(DOC_CONFIGURATION, crypto.digest(cfg_payload), bytes(uuid), seq.to_bytes(8, "big"))
-    return append_signature(doc, device_sk)
+    return sign(doc, device_sk)
 
 
 def empty_configuration_document(uuid: bytes) -> Document:
@@ -428,22 +422,21 @@ def state_digest(inst_doc: Document, cfg_doc: Document | None, uuid: bytes) -> b
 # ---------------------------------------------------------------------------
 
 def signatures_verify(doc: Document, issuer_pk: PublicKey) -> None:
-    """ChainInvalid unless doc is signed and every signature verifies under issuer_pk."""
-    if not doc.signatures:
-        raise ChainInvalid(f"{DOC_TYPE_NAMES[doc.doc_type]} document is unsigned")
-    want_hint = crypto.key_id(issuer_pk)
-    for i, (hint, sig) in enumerate(doc.signatures):
-        if hint != want_hint:
-            raise ChainInvalid("signer hint does not match the issuing key")
-        if not crypto.verify(issuer_pk, signing_payload(doc, i), sig):
-            raise ChainInvalid(f"signature {i} on {DOC_TYPE_NAMES[doc.doc_type]} document does not verify")
+    """ChainInvalid unless doc is signed and its signature verifies under issuer_pk."""
+    name = DOC_TYPE_NAMES[doc.doc_type]
+    if not doc.signature:
+        raise ChainInvalid(f"{name} document is unsigned")
+    if doc.signature[: crypto.KEY_ID_LEN] != crypto.key_id(issuer_pk):
+        raise ChainInvalid("signer hint does not match the issuing key")
+    if not crypto.verify(issuer_pk, signing_payload(doc), doc.signature[crypto.KEY_ID_LEN :]):
+        raise ChainInvalid(f"signature on {name} document does not verify")
 
 
 def verify_chain(chain: list[Document] | tuple[Document, ...], root: Document) -> None:
     """Verify a leaf-to-root document chain against a trust anchor.
 
     The chain is ordered leaf first and must end with the root itself. Each
-    document's signatures must verify under the embedded key of the next
+    document's signature must verify under the embedded key of the next
     document (always suite 0x01: Document refuses any other), the final
     document must byte-equal the anchor and self-verify, and identity bindings
     must hold: each document's issuer is of the type _ISSUERS allows and
@@ -460,8 +453,6 @@ def verify_chain(chain: list[Document] | tuple[Document, ...], root: Document) -
         raise ChainInvalid("chain does not end at a root certificate")
     if encode_canonical(anchor) != encode_canonical(root):
         raise ChainInvalid("chain root differs from the trust anchor")
-    if len(anchor.signatures) != 1:
-        raise ChainInvalid("root certificate must carry exactly one signature")
     try:
         signatures_verify(anchor, embedded_public_key(anchor))
     except ChainInvalid as exc:

@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import crypto, documents
 from .documents import Document
-from .errors import ConstraintViolation, CorruptLog, DuplicateUuid, NotFound, UnknownIssuer
+from .errors import ConstraintViolation, CorruptLog, DuplicateUuid, NotFound, TltError, UnknownIssuer
 
 _DOC_TYPE_BY_KIND = {name: doc_type for doc_type, name in documents.DOC_TYPE_NAMES.items()}
 
@@ -176,7 +176,7 @@ class Store:
 
 
 def load_store(path) -> Store:
-    """Replay and revalidate a record log; CorruptLog on any failure."""
+    """Replay and revalidate a record log; CorruptLog on a refused record, a program fault propagates."""
     lines = Path(path).read_bytes().split(b"\n")
     if lines[-1] == b"":
         lines.pop()
@@ -199,7 +199,7 @@ def load_store(path) -> Store:
             raise CorruptLog(f"record {i}: document bytes are not lowercase hex", seq=i)
         try:
             doc = documents.decode(raw)
-        except Exception as exc:
+        except TltError as exc:
             raise CorruptLog(f"record {i}: {exc}", seq=i) from None
 
         if i == 0:
@@ -207,11 +207,11 @@ def load_store(path) -> Store:
                 raise CorruptLog("record 0: log must begin with the root", seq=0)
             try:
                 store = Store(doc)
-            except Exception as exc:
+            except TltError as exc:
                 raise CorruptLog(f"record 0: {exc}", seq=0) from None
         else:
             try:
                 store.register(kind, doc)
-            except Exception as exc:
+            except TltError as exc:
                 raise CorruptLog(f"record {i}: {exc}", seq=i) from None
     return store

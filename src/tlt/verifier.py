@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import crypto, transport
 from .device import RESPONSE_LEN, DeviceState
-from .errors import NoSuchSession, NotFound
+from .errors import NoSuchSession, NotFound, ParseError
 from .store import DeviceView
 
 _SIGNED_LEN = RESPONSE_LEN - crypto.SIGNATURE_LEN
@@ -54,20 +54,19 @@ class TrustVerdict:
 
 
 def parse_verdict_line(line: str) -> TrustVerdict:
-    """Inverse of TrustVerdict.render."""
+    """Inverse of TrustVerdict.render; ParseError on any other line."""
     parts = line.strip().split(" ", 4)
-    if len(parts) != 5 or parts[0] != "VERDICT":
-        raise ValueError("not a VERDICT line")
+    if len(parts) != 5 or parts[0] != "VERDICT" or not all("=" in p for p in parts[1:]):
+        raise ParseError("not a VERDICT line")
     fields = dict(p.split("=", 1) for p in parts[1:])
     missing = {"uuid", "state", "gate", "reason"} - fields.keys()
     if missing:
-        raise ValueError(f"VERDICT line lacks {', '.join(sorted(missing))}")
-    return TrustVerdict(
-        uuid=bytes.fromhex(fields["uuid"]),
-        state_check=StateCheck(fields["state"]),
-        gate=fields["gate"] == "1",
-        reason=fields["reason"],
-    )
+        raise ParseError(f"VERDICT line lacks {', '.join(sorted(missing))}")
+    try:
+        uuid, state_check = bytes.fromhex(fields["uuid"]), StateCheck(fields["state"])
+    except ValueError as exc:
+        raise ParseError(f"bad VERDICT line: {exc}") from None
+    return TrustVerdict(uuid=uuid, state_check=state_check, gate=fields["gate"] == "1", reason=fields["reason"])
 
 
 def scan(frame_bytes: bytes) -> bytes:

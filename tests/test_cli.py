@@ -341,6 +341,17 @@ def test_error_code_name_on_stderr(workspace, capsys):
     assert "CorruptLog" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    (["verify", "decide", "--line", "garbage"], 1, "ParseError: not a VERDICT line\n"),
+    (["device", "respond", "--device", "dev.tltdev", "--challenge", "zz"], 2,
+     "UsageError: argument --challenge: not hex: 'zz'\n"),
+    (["verify", "scan", "--frame", "zz"], 2, "UsageError: argument --frame: not hex: 'zz'\n"),
+], ids=["decide-line", "respond-challenge", "scan-frame"])
+def test_bad_input_is_reported_by_its_error_class(workspace, capsys, argv, code, err):
+    assert main(argv) == code
+    assert capsys.readouterr().err == err
+
+
 def test_seeded_runs_reproducible(workspace, capsys):
     assert main(["--seed", "5", "authority", "init", "--store", "a.tltlog", "--key", "a.tltkey"]) == 0
     first = capsys.readouterr().out.splitlines()[0]

@@ -13,6 +13,7 @@ from tlt.errors import (
     InvalidKey,
     MalformedDocument,
     NotOperational,
+    ParseError,
     StaleSequence,
     TltError,
 )
@@ -77,7 +78,7 @@ def test_remember_digest_rejects_corrupted_document(stack):
     fields = tuple(
         (t, b"evil" if t == documents.FW_META else v) for t, v in stack.fw_doc.fields
     )
-    corrupted = Document(stack.fw_doc.doc_type, fields, stack.fw_doc.signatures)
+    corrupted = Document(stack.fw_doc.doc_type, fields, stack.fw_doc.signature)
     before = set(stack.dev.verified_digests)
     with pytest.raises(ChainInvalid):
         stack.dev.install_firmware(corrupted, stack.fw_image, [stack.mcrt], "slot=1")
@@ -257,7 +258,7 @@ def test_challenge_requires_operational(rng, stack):
 
 
 def test_challenge_rejects_bad_nonce_length(stack):
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         stack.dev.handle_challenge(b"\x00" * 15)
 
 
@@ -301,6 +302,13 @@ def test_simulate_boot_detects_foreign_installation(stack, rng):
     assert stack.dev.simulate_boot() == BootStatus.INTEGRITY_FAILED
     with pytest.raises(NotOperational):
         stack.dev.handle_challenge(b"\x00" * 16)
+
+
+def test_simulate_boot_detects_an_installation_in_the_configuration_slot(tmp_path, stack):
+    """The device's own signed installation, about itself, is still not a configuration."""
+    stack.dev.cfg = stack.dev.installation
+    assert stack.dev.simulate_boot() == BootStatus.INTEGRITY_FAILED
+    assert _save_and_load(stack.dev, tmp_path).boot_status == BootStatus.INTEGRITY_FAILED
 
 
 def test_simulate_boot_unprogrammed(rng, stack):

@@ -14,9 +14,9 @@ from tlt.store import Store
 
 
 def _mutate(doc: Document, tag: int, value: bytes) -> Document:
-    """Rebuild a document with one field replaced, keeping its signatures."""
+    """Rebuild a document with one field replaced, keeping its signature."""
     fields = tuple((t, value if t == tag else v) for t, v in doc.fields)
-    return Document(doc.doc_type, fields, doc.signatures)
+    return Document(doc.doc_type, fields, doc.signature)
 
 
 # ---------------------------------------------------------------------------
@@ -106,36 +106,32 @@ def _layout_fields(doc_type: int):
 _layout_shapes = st.sampled_from(sorted(documents.DOC_TYPE_NAMES)).flatmap(
     lambda doc_type: st.tuples(st.just(doc_type), _layout_fields(doc_type))
 )
-_signatures = st.lists(
-    st.tuples(st.binary(min_size=16, max_size=16), st.binary(min_size=64, max_size=64)), max_size=2
-).map(tuple)
+_signature = st.one_of(st.just(b""), st.binary(min_size=documents.SIG_ENTRY_LEN, max_size=documents.SIG_ENTRY_LEN))
 
 
 @settings(max_examples=200)
-@given(_layout_shapes, _signatures)
-def test_canonical_stability_property(shape, signatures):
-    doc = Document(*shape, signatures)
+@given(_layout_shapes, _signature)
+def test_canonical_stability_property(shape, signature):
+    doc = Document(*shape, signature)
     encoded = documents.encode_canonical(doc)
     assert documents.decode(encoded) == doc
 
 
-# Mostly wrong shapes, sometimes exactly a layout; tags, lengths and signature
-# entries may be off by one.
+# Mostly wrong shapes, sometimes exactly a layout; tags and lengths may be off
+# by one, and the signature entry may be absent, one byte short or long, or two.
 _any_shapes = st.one_of(
     _layout_shapes,
     st.tuples(st.integers(0, 8), st.lists(st.tuples(st.integers(0, 5), st.binary(max_size=40)), max_size=5).map(tuple)),
 )
-_any_signatures = st.lists(
-    st.tuples(st.binary(min_size=15, max_size=17), st.binary(min_size=63, max_size=65)), max_size=2
-).map(tuple)
+_any_signature = st.sampled_from([0, 79, 80, 81, 160]).flatmap(lambda n: st.binary(min_size=n, max_size=n))
 
 
 @settings(max_examples=200)
-@given(_any_shapes, _any_signatures)
-def test_any_shape_is_refused_or_round_trips(shape, signatures):
+@given(_any_shapes, _any_signature)
+def test_any_shape_is_refused_or_round_trips(shape, signature):
     """A Document exists only in a shape that encodes and decodes back to itself."""
     try:
-        doc = Document(*shape, signatures)
+        doc = Document(*shape, signature)
     except MalformedDocument:
         return
     assert documents.decode(documents.encode_canonical(doc)) == doc
@@ -147,14 +143,14 @@ def test_any_shape_is_refused_or_round_trips(shape, signatures):
 
 def test_root_certificate_self_verifies(stack):
     assert stack.root.doc_type == 0x01
-    assert len(stack.root.signatures) == 1
+    assert len(stack.root.signature) == documents.SIG_ENTRY_LEN
     documents.verify_chain([stack.root], stack.root)
 
 
 def test_root_certificate_tamper_detected(stack):
     info = stack.root.field(documents.ROOT_INFO)
     tampered = _mutate(stack.root, documents.ROOT_INFO, b"X" + info[1:])
-    with pytest.raises(ChainInvalid, match="^root does not self-verify: signature 0 on root document does not verify$"):
+    with pytest.raises(ChainInvalid, match="^root does not self-verify: signature on root document does not verify$"):
         documents.verify_chain([tampered], tampered)
 
 
@@ -200,7 +196,7 @@ def test_cross_signed_device_certificate_rejected(rng, stack):
             (documents.DEV_MFR_ID, stack.mcrt.field(documents.MFR_ID)),
         ),
     )
-    forged = documents.append_signature(forged, b_sk)
+    forged = documents.sign(forged, b_sk)
     with pytest.raises(ChainInvalid, match="^device document names another manufacturer$"):
         documents.verify_chain([forged, mcrt_b, stack.root], stack.root)
 
@@ -261,6 +257,12 @@ def test_verify_chain_rejects_unsigned_document(stack):
         documents.verify_chain([unsigned, stack.root], stack.root)
 
 
+def test_verify_chain_rejects_unsigned_root(stack):
+    unsigned = Document(stack.root.doc_type, stack.root.fields)
+    with pytest.raises(ChainInvalid, match="^root does not self-verify: root document is unsigned$"):
+        documents.verify_chain([unsigned], unsigned)
+
+
 def test_verify_chain_rejects_root_mismatch(rng, stack):
     other_pk, other_sk = crypto.generate_keypair(rng)
     other_root = documents.make_root_certificate("Shadow Authority", other_pk, other_sk)
@@ -302,16 +304,22 @@ def test_firmware_digest_tracks_image(stack):
 
 def test_signature_coverage_invalidated_by_field_mutation(stack):
     tampered = _mutate(stack.mcrt, documents.MFR_INFO, b"Totally Legit Acme")
-    with pytest.raises(ChainInvalid, match="^signature 0 on manufacturer document does not verify$"):
+    with pytest.raises(ChainInvalid, match="^signature on manufacturer document does not verify$"):
         documents.verify_chain([tampered, stack.root], stack.root)
 
 
-def test_append_signature_covers_previous_signatures(stack, rng):
-    _, extra_sk = crypto.generate_keypair(rng)
-    doc = documents.append_signature(stack.inst, extra_sk)
-    payload_for_second = documents.signing_payload(doc, 1)
-    assert payload_for_second == documents.encode_canonical(stack.inst)
-    assert documents.decode(documents.encode_canonical(doc)) == doc
+def test_a_document_carries_at_most_one_signature(stack):
+    """Each document is signed once, by its issuer; a second entry is malformed wherever it comes from."""
+    entry = stack.mcrt.signature
+    with pytest.raises(MalformedDocument, match="^signature entry is 160 bytes, not 80$"):
+        Document(stack.mcrt.doc_type, stack.mcrt.fields, entry + entry)
+    # the authority signs the whole honest certificate again: a valid second entry by the same issuer
+    honest = documents.encode_canonical(stack.mcrt)
+    second = entry[: crypto.KEY_ID_LEN] + crypto.sign(stack.authority_sk, honest)
+    with pytest.raises(MalformedDocument, match="^signature entry is 160 bytes, not 80$"):
+        documents.decode(honest + second)
+    with pytest.raises(MalformedDocument, match="^manufacturer document is already signed$"):
+        documents.sign(stack.mcrt, stack.authority_sk)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +363,7 @@ def test_state_digest_matches_manual_concatenation(stack):
 
 def test_state_digest_uses_empty_configuration_stand_in(stack):
     empty = documents.empty_configuration_document(stack.dev.uuid)
-    assert empty.signatures == ()
+    assert empty.signature == b""
     assert documents.config_seq(empty) == 0
     assert empty.field(documents.CFG_DIGEST) == hashlib.sha256(b"").digest()
     expected = hashlib.sha256(
@@ -365,8 +373,9 @@ def test_state_digest_uses_empty_configuration_stand_in(stack):
 
 
 def test_configuration_seq_bounds(stack):
-    with pytest.raises(ValueError):
-        documents.make_configuration_document(b"x", stack.dev.uuid, 0, stack.dev.secret_key)
+    for seq in (0, 2**64):
+        with pytest.raises(ConstraintViolation):
+            documents.make_configuration_document(b"x", stack.dev.uuid, seq, stack.dev.secret_key)
     doc = documents.make_configuration_document(b"x", stack.dev.uuid, 2**64 - 1, stack.dev.secret_key)
     assert documents.config_seq(doc) == 2**64 - 1
 

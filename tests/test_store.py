@@ -33,7 +33,7 @@ def test_init_rejects_corrupted_root(stack):
     fields = tuple(
         (t, b"Evil Authority" if t == documents.ROOT_INFO else v) for t, v in stack.root.fields
     )
-    corrupted = Document(stack.root.doc_type, fields, stack.root.signatures)
+    corrupted = Document(stack.root.doc_type, fields, stack.root.signature)
     with pytest.raises(ChainInvalid):
         Store(corrupted)
 
@@ -89,7 +89,7 @@ def test_register_rejects_tampered_document(stack):
     fields = tuple(
         (t, b"Shady Acme" if t == documents.MFR_INFO else v) for t, v in stack.mcrt.fields
     )
-    tampered = Document(stack.mcrt.doc_type, fields, stack.mcrt.signatures)
+    tampered = Document(stack.mcrt.doc_type, fields, stack.mcrt.signature)
     with pytest.raises(ChainInvalid):
         st.register("manufacturer", tampered)
 
@@ -204,7 +204,7 @@ def test_register_cross_manufacturer_device_rejected(stack, rng):
             (documents.DEV_MFR_ID, stack.mcrt.field(documents.MFR_ID)),
         ),
     )
-    forged = documents.append_signature(forged, b_sk)
+    forged = documents.sign(forged, b_sk)
     with pytest.raises((ChainInvalid, ConstraintViolation)):
         st.register("device", forged)
 
@@ -363,6 +363,20 @@ def test_corrupt_log_detected(tmp_path):
     with pytest.raises(CorruptLog) as exc_info:
         load_store(bad)
     assert exc_info.value.seq == 9
+
+
+@pytest.mark.parametrize("owner, name", [(documents, "decode"), (Store, "__init__"), (Store, "register")])
+def test_load_lets_a_program_fault_through(tmp_path, stack, monkeypatch, owner, name):
+    """Only a refused record is a CorruptLog; a crash while replaying is not laundered into one."""
+    path = tmp_path / "s.tltlog"
+    stack.store.persist(path)
+
+    def crash(*_args, **_kwargs):
+        raise RuntimeError("fault in the program")
+
+    monkeypatch.setattr(owner, name, crash)
+    with pytest.raises(RuntimeError, match="^fault in the program$"):
+        load_store(path)
 
 
 def test_corrupt_root_record_detected(tmp_path):

@@ -236,7 +236,12 @@ def test_verdict_render_and_parse(stack, rng):
 
 
 def test_parse_verdict_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_verdict_line("nonsense line")
-    with pytest.raises(ValueError):
-        parse_verdict_line("VERDICT a=1 b=2 c=3 d=4")
+    for line in (
+        "nonsense line",
+        "VERDICT a=1 b=2 c=3 d=4",
+        "VERDICT uuid=00 state gate=1 reason=ok",  # a field without '='
+        "VERDICT uuid=zz state=verified_current gate=1 reason=ok",
+        "VERDICT uuid=00 state=trusted gate=1 reason=ok",
+    ):
+        with pytest.raises(ParseError):
+            parse_verdict_line(line)
