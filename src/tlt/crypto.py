@@ -2,7 +2,11 @@
 
 Suite 0x01 is Ed25519 with SHA-256: 32-byte keys, 64-byte deterministic
 signatures, 32-byte digests. The suite byte travels with all key material so
-a future suite can slot in without changing any wire or file format.
+a future suite can slot in without changing any wire or file format. Both
+primitives come from the `cryptography` package, whose extension carries its
+own OpenSSL; the standard library's hashlib would map the system libcrypto
+as a second copy (about 3.6 MB resident), so no module here imports hashlib,
+hmac or secrets. Secure randomness is os.urandom.
 
 Key files are binary: one suite byte followed by the raw key bytes
 (`.tltkey` for secret keys, `.tltpub` for public keys).
@@ -10,13 +14,13 @@ Key files are binary: one suite byte followed by the raw key bytes
 
 from __future__ import annotations
 
-import hashlib
+import os
 import random
-import secrets
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -33,6 +37,7 @@ DIGEST_LEN = 32
 UUID_LEN = 16
 NONCE_LEN = 16
 KEY_ID_LEN = 16
+_SHA256 = hashes.Hash(hashes.SHA256())  # never fed: digest() copies it, which is cheaper than a new context
 
 SECRET_KEY_EXT = ".tltkey"
 PUBLIC_KEY_EXT = ".tltpub"
@@ -49,7 +54,7 @@ class SystemRandomSource:
         if n < 0:
             raise ValueError("byte count must be non-negative")
         try:
-            return secrets.token_bytes(n)
+            return os.urandom(n)
         except Exception as exc:  # pragma: no cover - OS entropy failure
             raise EntropyUnavailable(str(exc)) from exc
 
@@ -157,7 +162,9 @@ def key_id(pk: PublicKey) -> bytes:
 
 def digest(msg: bytes) -> bytes:
     """32-byte SHA-256 digest."""
-    return hashlib.sha256(msg).digest()
+    h = _SHA256.copy()
+    h.update(msg)
+    return h.finalize()
 
 
 # ---------------------------------------------------------------------------

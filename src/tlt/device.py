@@ -188,7 +188,7 @@ def device_birth(
 # ---------------------------------------------------------------------------
 
 def save_device(dev: DeviceState, path) -> None:
-    """Write the `.tltdev` state file (everything except the secret key).
+    """Replace the `.tltdev` state file atomically (everything except the secret key).
 
     Layout: magic(4) version(1) uuid(16) suite(1) pubkey(32) cert_digest(32),
     root as len(4)+bytes, digest count(4) + strictly ascending 32-byte digests,
@@ -209,7 +209,7 @@ def save_device(dev: DeviceState, path) -> None:
         out.append(doc is not None)
         if doc is not None:
             out += documents.prefixed(documents.encode_canonical(doc))
-    Path(path).write_bytes(bytes(out))
+    documents.replace_file(path, out)
 
 
 def load_device(path, key_path=None, rng=None) -> DeviceState:

@@ -27,6 +27,7 @@ files, store answers) are read and written; Reader fails closed.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -280,6 +281,24 @@ def save_document(doc: Document, path) -> None:
 
 def load_document(path) -> Document:
     return decode(Path(path).read_bytes())
+
+
+def replace_file(path, data: bytes) -> None:
+    """Write data as the whole of path, atomically: a reader sees the old file or the new one.
+
+    The bytes go to a sibling temp file, which is flushed and fsynced and then
+    renamed over path; a failed write removes it and leaves path as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # already gone after the rename
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,10 @@ class NotFound(TltError):
     """No record matches the lookup key."""
 
 
+class StoreUnavailable(TltError):
+    """A served store could not be reached, or its connection failed or timed out."""
+
+
 class CorruptLog(TltError):
     """A persisted store record failed revalidation on load."""
 

@@ -11,7 +11,8 @@ seconds is closed without a reply; StoreServer.stop() closes the rest. A
 StoreClient sends one lookup at a time, under a lock, down one connection and
 drops it after anything but a reply line of at most MAX_RESPONSE_LINE bytes,
 newline included. It resends once, on a new one, if a reused connection ends
-before any reply byte (as after the idle drop). close() or `with` closes it.
+before any reply byte (as after the idle drop), and raises StoreUnavailable
+when the socket fails: refused, reset or timed out. close() or `with` closes it.
 
 A StoreClient keeps each DEV answer it decoded, by UUID, for its lifetime: the
 store admits one certificate per UUID and never rewrites a record, and the
@@ -45,7 +46,7 @@ import threading
 import weakref
 
 from . import documents
-from .errors import MalformedDocument, NotFound, ParseError, TltError
+from .errors import MalformedDocument, NotFound, ParseError, StoreUnavailable, TltError
 from .store import DeviceView, StateView, Store
 
 # The longest valid request (STATE) is 104 bytes with its newline.
@@ -216,6 +217,8 @@ class StoreClient(contextlib.AbstractContextManager):
                         if self._reply.peek(1) or not reused:
                             break  # a reply has begun, or this connection is new
                 raw = self._reply.readline(MAX_RESPONSE_LINE + 1)
+            except OSError as exc:  # refused, reset or timed out
+                raise StoreUnavailable(f"store at {self._addr[0]}:{self._addr[1]}: {exc}") from None
             finally:
                 if not raw.endswith(b"\n"):
                     self.close()

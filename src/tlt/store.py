@@ -18,15 +18,17 @@ Log format (`.tltlog`): one ASCII line per record, each ending in LF,
 
 <kind> is the name of the document's type (documents.DOC_TYPE_NAMES) and must
 match its type byte. Sequence numbers are plain decimal, start at 0 (the root)
-and increase by one per record; records are never rewritten. Loading replays
-and revalidates every record and aborts with CorruptLog naming the offending
-sequence number.
+and increase by one per record; records are never rewritten. Loading streams
+the log one line at a time, replaying and revalidating each record as it is
+read, and aborts with CorruptLog naming the offending sequence number; it
+never holds the whole log text. Store.persist writes the whole log to a
+sibling temp file and renames it over the old one (documents.replace_file),
+so a concurrent load sees the old log or the new one, never a torn one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import crypto, documents
 from .documents import Document
@@ -172,46 +174,43 @@ class Store:
             f"{documents.DOC_TYPE_NAMES[doc.doc_type]} {seq} {documents.encode_canonical(doc).hex()}"
             for seq, doc in enumerate(self.records)
         ]
-        Path(path).write_text("\n".join(lines) + "\n")
+        documents.replace_file(path, ("\n".join(lines) + "\n").encode())
 
 
 def load_store(path) -> Store:
     """Replay and revalidate a record log; CorruptLog on a refused record, a program fault propagates."""
-    lines = Path(path).read_bytes().split(b"\n")
-    if lines[-1] == b"":
-        lines.pop()
-    if not lines:
-        raise CorruptLog("empty store log", seq=0)
-
     store: Store | None = None
-    for i, line in enumerate(lines):
-        try:  # UnicodeDecodeError is a ValueError too
-            kind, seq_text, hex_text = line.decode("ascii").split(" ")
-        except ValueError:
-            raise CorruptLog(f"record {i}: malformed line", seq=i) from None
-        if seq_text != str(i):
-            raise CorruptLog(f"record {i}: bad sequence number {seq_text!r}", seq=i)
-        try:
-            raw = bytes.fromhex(hex_text)
-        except ValueError:
-            raw = b""
-        if not raw or raw.hex() != hex_text:  # fromhex accepts upper case and skips whitespace
-            raise CorruptLog(f"record {i}: document bytes are not lowercase hex", seq=i)
-        try:
-            doc = documents.decode(raw)
-        except TltError as exc:
-            raise CorruptLog(f"record {i}: {exc}", seq=i) from None
-
-        if i == 0:
-            if kind != "root":
-                raise CorruptLog("record 0: log must begin with the root", seq=0)
+    with open(path, "rb") as log:
+        for i, line in enumerate(log):
+            try:  # UnicodeDecodeError is a ValueError too
+                kind, seq_text, hex_text = line.removesuffix(b"\n").decode("ascii").split(" ")
+            except ValueError:
+                raise CorruptLog(f"record {i}: malformed line", seq=i) from None
+            if seq_text != str(i):
+                raise CorruptLog(f"record {i}: bad sequence number {seq_text!r}", seq=i)
             try:
-                store = Store(doc)
-            except TltError as exc:
-                raise CorruptLog(f"record 0: {exc}", seq=0) from None
-        else:
+                raw = bytes.fromhex(hex_text)
+            except ValueError:
+                raw = b""
+            if not raw or raw.hex() != hex_text:  # fromhex accepts upper case and skips whitespace
+                raise CorruptLog(f"record {i}: document bytes are not lowercase hex", seq=i)
             try:
-                store.register(kind, doc)
+                doc = documents.decode(raw)
             except TltError as exc:
                 raise CorruptLog(f"record {i}: {exc}", seq=i) from None
+
+            if i == 0:
+                if kind != "root":
+                    raise CorruptLog("record 0: log must begin with the root", seq=0)
+                try:
+                    store = Store(doc)
+                except TltError as exc:
+                    raise CorruptLog(f"record 0: {exc}", seq=0) from None
+            else:
+                try:
+                    store.register(kind, doc)
+                except TltError as exc:
+                    raise CorruptLog(f"record {i}: {exc}", seq=i) from None
+    if store is None:
+        raise CorruptLog("empty store log", seq=0)
     return store

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -13,6 +15,12 @@ from tlt.store import Store
 # reproduces from the commit alone; no example database is read or written.
 settings.register_profile("derandomized", derandomize=True, database=None)
 settings.load_profile("derandomized")
+
+
+def subprocess_env() -> dict:
+    """This environment with the repository's src first on PYTHONPATH, for a child `python` that imports tlt."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @dataclass

@@ -1,12 +1,10 @@
 from __future__ import annotations
 
 import contextlib
-import os
 import signal
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -16,7 +14,7 @@ from tlt.device import load_device
 from tlt.netstore import StoreClient
 from tlt.store import load_store
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import subprocess_env
 
 
 @pytest.fixture
@@ -224,18 +222,12 @@ def test_challenge_rejects_a_bad_store_address(workspace, capsys, monkeypatch, a
     assert capsys.readouterr().err == f"UsageError: argument --connect: {complaint}\n"
 
 
-def _subprocess_env() -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return env
-
-
 @contextlib.contextmanager
 def _serving():
     """`tlt store serve --port 0` on s.tltlog in a subprocess; yields the process and its port."""
     with subprocess.Popen(
         [sys.executable, "-m", "tlt.cli", "store", "serve", "--store", "s.tltlog", "--port", "0"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env(),
     ) as server:
         try:
             banner = server.stdout.readline().decode()
@@ -257,7 +249,7 @@ def test_serve_and_remote_challenge(workspace, capsys):
         challenge = subprocess.run(
             [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "tlt.cli",
              "verify", "challenge", "--connect", f"127.0.0.1:{port}", "--device", "dev.tltdev", "--auto-accept"],
-            capture_output=True, text=True, env=_subprocess_env(), timeout=30,
+            capture_output=True, text=True, env=subprocess_env(), timeout=30,
         )
         assert challenge.returncode == 0
         assert "gate=1" in challenge.stdout

@@ -3,6 +3,9 @@ from __future__ import annotations
 import copy
 import hashlib
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,8 @@ from hypothesis import strategies as st
 
 from tlt import crypto
 from tlt.errors import InvalidKey
+
+from conftest import subprocess_env
 
 # Published SHA-256 test vectors (FIPS 180 examples).
 SHA256_EMPTY = bytes.fromhex("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
@@ -155,6 +160,31 @@ def test_digest_deterministic():
 @pytest.mark.parametrize("size", [0, 1, 10**6])
 def test_digest_length_constant(size):
     assert len(crypto.digest(b"\xa5" * size)) == 32
+
+
+@settings(max_examples=200)
+@given(st.binary(max_size=4096))
+def test_digest_matches_hashlib(msg):
+    assert crypto.digest(msg) == hashlib.sha256(msg).digest()
+
+
+def test_the_program_loads_one_crypto_provider():
+    """No tlt module pulls in hashlib (and with it the system libcrypto), hmac or secrets."""
+    package = Path(__file__).resolve().parents[1] / "src" / "tlt"
+    modules = ["tlt." + path.stem for path in sorted(package.glob("*.py")) if path.stem != "__init__"]
+    probe = (
+        "import importlib, sys\n"
+        "before = set(sys.modules)\n"
+        "for name in sys.argv[1:]:\n"
+        "    importlib.import_module(name)\n"
+        "print(' '.join(sorted({'hashlib', '_hashlib', 'hmac', 'secrets'} & (set(sys.modules) - before))))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe, *modules], capture_output=True, text=True, env=subprocess_env(), timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert len(modules) >= 10
+    assert run.stdout == "\n"
 
 
 # ---------------------------------------------------------------------------

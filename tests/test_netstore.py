@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import contextlib
-import os
 import socket
 import struct
 import subprocess
@@ -10,16 +9,15 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import pytest
 
 from tlt import crypto, device, documents, netstore, verifier
-from tlt.errors import NotFound, ParseError, TltError
+from tlt.errors import NotFound, ParseError, StoreUnavailable, TltError
 from tlt.netstore import StoreClient, StoreServer, handle_request_line
 from tlt.verifier import StateCheck, Verifier
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import subprocess_env
 
 
 def _raw_query(addr, line: str) -> str:
@@ -324,7 +322,7 @@ def test_client_never_reuses_a_connection_after_a_bad_reply(stack, monkeypatch, 
     with StoreServer(stack.store, port=0) as server:
         accepts = _count_accepts(server)
         with StoreClient(*server.address, timeout=0.5) as client:
-            with pytest.raises(TimeoutError if fault == "cut-mid-line" else TltError):
+            with pytest.raises(StoreUnavailable if fault == "cut-mid-line" else TltError):
                 client.lookup_device(stack.dev.uuid)
             assert client.lookup_device(stack.dev.uuid) == stack.store.lookup_device(stack.dev.uuid)
             assert len(requests) == 1  # the bad first answer came from the stand-in handler
@@ -423,7 +421,7 @@ def test_stopped_server_answers_nothing(stack):
         server.stop()
         assert time.monotonic() - started < 1  # not IDLE_TIMEOUT
         assert not [t for t in threading.enumerate() if "process_request_thread" in t.name]
-        with pytest.raises(OSError):  # a STATE answer is never kept, so this lookup reaches the socket
+        with pytest.raises(StoreUnavailable):  # a STATE answer is never kept, so this lookup reaches the socket
             client.lookup_state(stack.dev.uuid, stack.dev.compute_state_digest())
 
 
@@ -520,15 +518,30 @@ def test_cli_reports_malformed_dev_answer(stack, tmp_path):
     device.save_device(stack.dev, tmp_path / "dev.tltdev")
     crypto.save_secret_key(stack.dev.secret_key, tmp_path / ("dev" + crypto.SECRET_KEY_EXT))
     reply = b"OK " + _dev_payload(stack.root, stack.root).hex().encode() + b"\n"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     with _stand_in(reply) as (host, port):
         proc = subprocess.run(
             [sys.executable, "-m", "tlt.cli", "verify", "challenge", "--connect", f"{host}:{port}",
              "--device", str(tmp_path / "dev.tltdev")],
-            capture_output=True, text=True, env=env, timeout=30,
+            capture_output=True, text=True, env=subprocess_env(), timeout=30,
         )
     assert proc.returncode == 1
     assert proc.stderr.startswith("ParseError: ")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_reports_an_unreachable_store(stack, tmp_path):
+    """`verify challenge --connect` to a port nobody listens on is a StoreUnavailable, exit 1."""
+    device.save_device(stack.dev, tmp_path / "dev.tltdev")
+    crypto.save_secret_key(stack.dev.secret_key, tmp_path / ("dev" + crypto.SECRET_KEY_EXT))
+    with socket.socket() as probe:  # bound, then closed: the port is free and refuses connections
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "tlt.cli", "verify", "challenge", "--connect", f"127.0.0.1:{port}",
+         "--device", str(tmp_path / "dev.tltdev")],
+        capture_output=True, text=True, env=subprocess_env(), timeout=30,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"StoreUnavailable: store at 127.0.0.1:{port}: ")
+    assert proc.stderr.count("\n") == 1

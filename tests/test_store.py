@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+import tracemalloc
+
 import pytest
 
 from tlt import crypto, documents
-from tlt.device import device_birth
+from tlt.device import device_birth, load_device, save_device
 from tlt.documents import Document
 from tlt.errors import (
     ChainInvalid,
@@ -16,7 +22,7 @@ from tlt.errors import (
 )
 from tlt.store import Store, load_store
 
-from conftest import build_stack
+from conftest import build_stack, subprocess_env
 
 
 # ---------------------------------------------------------------------------
@@ -501,3 +507,83 @@ def test_load_rejects_non_ascii_and_non_canonical_lines(tmp_path, stack):
     with pytest.raises(CorruptLog) as exc_info:
         load_store(bad)
     assert exc_info.value.seq == 0
+
+
+def test_load_reads_lines_as_a_split_on_lf_would(tmp_path, stack):
+    """An empty file, a lone LF, a trailing blank line and a blank line between records."""
+    path = tmp_path / "s.tltlog"
+    stack.store.persist(path)
+    blob, n = path.read_bytes(), len(stack.store.records)
+    root_end = blob.index(b"\n") + 1
+    cases = [
+        (b"", 0, "empty store log"),
+        (b"\n", 0, "record 0: malformed line"),
+        (blob + b"\n", n, f"record {n}: malformed line"),
+        (blob[:root_end] + b"\n" + blob[root_end:], 1, "record 1: malformed line"),
+    ]
+    for text, seq, message in cases:
+        path.write_bytes(text)
+        with pytest.raises(CorruptLog) as exc_info:
+            load_store(path)
+        assert (exc_info.value.seq, str(exc_info.value)) == (seq, message), text[:80]
+
+
+def test_load_streams_the_log(tmp_path, stack):
+    """A replay holds about one record at a time beyond what the loaded store keeps, not the log text."""
+    for seq in range(1, 331):
+        stack.store.register("configuration", stack.dev.apply_configuration(b"cfg %d" % seq, seq))
+    path = tmp_path / "s.tltlog"
+    stack.store.persist(path)
+    size = path.stat().st_size
+    assert size >= 100_000
+    tracemalloc.start()
+    try:
+        loaded = load_store(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.records == stack.store.records
+    assert peak - retained < size / 2
+
+
+# Rewrites `source`'s store or device state over `target` with writes past `limit` bytes refused.
+_CUT_SHORT = """
+import errno, resource, signal, sys
+from tlt import device, store
+writer, source, target, limit = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+state = store.load_store(source) if writer == "persist" else device.load_device(source)
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past the limit fails with EFBIG instead
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+try:
+    state.persist(target) if writer == "persist" else device.save_device(state, target)
+except OSError as exc:
+    print(errno.errorcode[exc.errno])
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs POSIX file size limits")
+@pytest.mark.parametrize("writer", ["persist", "save_device"])
+def test_a_rewrite_cut_short_leaves_the_previous_file(tmp_path, stack, writer):
+    """A store log or device state file whose rewrite fails partway is still the old file, and loads."""
+    if writer == "persist":
+        old, new, load = tmp_path / "s.tltlog", tmp_path / "next.tltlog", load_store
+        stack.store.persist(old)
+        stack.store.register("configuration", stack.dev.apply_configuration(b"cfg", 1))
+        stack.store.persist(new)
+    else:
+        old, new, load = tmp_path / "d.tltdev", tmp_path / "next.tltdev", load_device
+        for path in (old, new):
+            crypto.save_secret_key(stack.dev.secret_key, path.with_suffix(crypto.SECRET_KEY_EXT))
+        save_device(stack.dev, old)
+        stack.dev.apply_configuration(b"cfg", 1)
+        save_device(stack.dev, new)
+    before, files = old.read_bytes(), sorted(os.listdir(tmp_path))
+    limit = new.stat().st_size // 2
+    child = subprocess.run(
+        [sys.executable, "-c", _CUT_SHORT, writer, str(new), str(old), str(limit)],
+        capture_output=True, text=True, env=subprocess_env(), timeout=60,
+    )
+    assert child.stdout == "EFBIG\n", child.stderr
+    assert old.read_bytes() == before
+    load(old)
+    assert sorted(os.listdir(tmp_path)) == files
