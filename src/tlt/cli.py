@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import fcntl
 import os
 import sys
 import threading
@@ -35,7 +36,7 @@ from . import crypto, documents, netstore, threats, transport
 from . import device as device_mod
 from . import store as store_mod
 from . import verifier as verifier_mod
-from .errors import MissingFragment, TltError, UsageError
+from .errors import FileUnreadable, MissingFragment, TltError, UsageError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,13 +58,23 @@ def _need_store(args) -> Path:
     return Path(args.store)
 
 
-def _register(store_path, kind: str, doc, st=None) -> int:
-    """Admit doc into the store at store_path (st when already loaded) and persist it."""
-    if st is None:
+@contextlib.contextmanager
+def _locked_store(store_path):
+    """The store at store_path, loaded under an exclusive lock and persisted if the block ends normally.
+
+    CLI writers serialize here, so none loses a record; persist replaces the log, so the lock is on its directory.
+    """
+    try:
+        fd = os.open(Path(store_path).parent, os.O_RDONLY)
+    except OSError as exc:
+        raise FileUnreadable(exc) from None
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
         st = store_mod.load_store(store_path)
-    seq = st.register(kind, doc)
-    st.persist(store_path)
-    return seq
+        yield st
+        st.persist(store_path)
+    finally:
+        os.close(fd)  # releases the lock
 
 
 def _new_files(command: str, *paths: Path) -> None:
@@ -208,7 +219,8 @@ def _cmd_mfr_register(args) -> int:
     authority_sk = crypto.load_secret_key(args.authority_key)
     pk, sk = crypto.generate_keypair(args.rng)
     mcrt = documents.make_manufacturer_certificate(args.info, pk, authority_sk, args.rng)
-    seq = _register(store_path, "manufacturer", mcrt)
+    with _locked_store(store_path) as st:
+        seq = st.register("manufacturer", mcrt)
     crypto.save_secret_key(sk, args.key)
     documents.save_document(mcrt, cert_out)
     print(f"mfr_id={mcrt.field(documents.MFR_ID).hex()}")
@@ -221,10 +233,11 @@ def _cmd_mfr_sign_fw(args) -> int:
     _new_files("mfr sign-fw", Path(args.out))
     sk = crypto.load_secret_key(args.key)
     mcrt = documents.load_document(args.cert)
-    image = Path(args.image).read_bytes()
+    image = crypto.read_file(args.image)
     fw_doc = documents.sign_firmware(image, args.meta, sk, mcrt)
     if args.store:
-        _register(args.store, "firmware", fw_doc)
+        with _locked_store(args.store) as st:
+            st.register("firmware", fw_doc)
     documents.save_document(fw_doc, args.out)
     print(f"fw_doc={documents.doc_digest(fw_doc).hex()}")
     return 0
@@ -234,11 +247,11 @@ def _cmd_device_birth(args) -> int:
     store_path = _need_store(args)
     out = Path(args.out)
     _new_files("device birth", out, out.with_suffix(crypto.SECRET_KEY_EXT))
-    st = store_mod.load_store(store_path)
     mfr_sk = crypto.load_secret_key(args.mfr_key)
     mcrt = documents.load_document(args.mfr_cert)
-    dev, dcrt = device_mod.device_birth(mcrt, mfr_sk, st.root, args.info, args.rng)
-    _register(store_path, "device", dcrt, st)
+    with _locked_store(store_path) as st:
+        dev, dcrt = device_mod.device_birth(mcrt, mfr_sk, st.root, args.info, args.rng)
+        st.register("device", dcrt)
     device_mod.save_device(dev, out)
     crypto.save_secret_key(dev.secret_key, out.with_suffix(crypto.SECRET_KEY_EXT))
     print(f"uuid={dev.uuid.hex()}")
@@ -253,11 +266,12 @@ def _load_device(args) -> device_mod.DeviceState:
 def _cmd_device_install(args) -> int:
     dev = _load_device(args)
     fw_doc = documents.load_document(args.fw)
-    image = Path(args.image).read_bytes()
+    image = crypto.read_file(args.image)
     mcrt = documents.load_document(args.mfr_cert)
     inst = dev.install_firmware(fw_doc, image, [mcrt], args.instinfo)
     if args.store:
-        _register(args.store, "installation", inst)
+        with _locked_store(args.store) as st:
+            st.register("installation", inst)
     device_mod.save_device(dev, args.device)
     print(f"state={dev.compute_state_digest().hex()}")
     return 0
@@ -265,10 +279,11 @@ def _cmd_device_install(args) -> int:
 
 def _cmd_device_configure(args) -> int:
     dev = _load_device(args)
-    payload = Path(args.config).read_bytes()
+    payload = crypto.read_file(args.config)
     cfg = dev.apply_configuration(payload, args.seq)
     if args.store:
-        _register(args.store, "configuration", cfg)
+        with _locked_store(args.store) as st:
+            st.register("configuration", cfg)
     device_mod.save_device(dev, args.device)
     print(f"state={dev.compute_state_digest().hex()}")
     return 0

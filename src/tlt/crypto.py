@@ -26,7 +26,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .errors import EntropyUnavailable, InvalidKey
+from .errors import EntropyUnavailable, FileUnreadable, InvalidKey
 
 SUITE_ED25519_SHA256 = 0x01
 
@@ -184,15 +184,23 @@ def is_uuid4(b: bytes) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Key files
+# Input and key files
 # ---------------------------------------------------------------------------
+
+def read_file(path) -> bytes:
+    """The whole of an input file; FileUnreadable (with the OSError's text) if it cannot be read."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise FileUnreadable(exc) from None
+
 
 def save_secret_key(sk: SecretKey, path) -> None:
     Path(path).write_bytes(bytes([sk.suite_id]) + sk.data)
 
 
 def load_secret_key(path) -> SecretKey:
-    raw = Path(path).read_bytes()
+    raw = read_file(path)
     if len(raw) != 1 + SECRET_KEY_LEN:
         raise InvalidKey(f"bad secret key file length {len(raw)}")
     return SecretKey(raw[0], raw[1:])

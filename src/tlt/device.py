@@ -215,7 +215,7 @@ def save_device(dev: DeviceState, path) -> None:
 def load_device(path, key_path=None, rng=None) -> DeviceState:
     """Load a `.tltdev` file plus its secret key (sibling `.tltkey` by default), then boot it."""
     path = Path(path)
-    r = documents.Reader(path.read_bytes())
+    r = documents.Reader(crypto.read_file(path))
     if r.take(4) != _DEV_MAGIC:
         raise MalformedDocument("not a device state file")
     if r.u8() != _DEV_VERSION:

@@ -2,11 +2,12 @@
 
 Every signed artefact in the ecosystem (certificates, firmware documents,
 installation and configuration proofs) is a Document: a type tag, an ordered
-field list, and at most one signature, made by its issuer. A Document is
-well-formed by construction (see Document), so every document read from disk,
-a socket or a `.tltdev` file fails closed where it is decoded. verify_chain,
-the one chain-of-trust check, returns None or raises ChainInvalid naming the
-first check that failed.
+field list, and at most one signature, made by its issuer. One table, _TYPES,
+holds each document type's name, field lengths, key and id fields, and issuer.
+A Document is well-formed by construction (see Document), so every document
+read from disk, a socket or a `.tltdev` file fails closed where it is decoded.
+verify_chain, the one chain-of-trust check, returns None or raises ChainInvalid
+naming the first check that failed.
 
 Wire format (the `.tltdoc` file content is exactly these bytes):
 
@@ -15,11 +16,12 @@ Wire format (the `.tltdoc` file content is exactly these bytes):
     fields       field_count times: tag(1) || length(4, big-endian) || value
     signature    absent (unsigned) or signer_hint(16) || signature(64)
 
-Field tags are strictly ascending within a document, so the encoding is
-injective and byte-stable. The signature covers the body, i.e. the byte
-prefix that precedes it: doc_type, field_count and fields. The signer hint is
-the key id of the signing key and is checked during verification, so every
-byte of a document is covered by some check.
+Field tags are positions: a document's fields carry tags 0x01, 0x02, ... in
+its type's layout order, so the encoding is injective and byte-stable. The
+signature covers the body, i.e. the byte prefix that precedes it: doc_type,
+field_count and fields. The signer hint is the key id of the signing key and is
+checked during verification, so every byte of a document is covered by some
+check.
 
 Reader and prefixed are the one way binary formats (documents, `.tltdev`
 files, store answers) are read and written; Reader fails closed.
@@ -31,9 +33,10 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import crypto
-from .crypto import PublicKey, SecretKey
+from .crypto import DIGEST_LEN, UUID_LEN, PublicKey, SecretKey
 from .errors import ChainInvalid, ConstraintViolation, InvalidKey, MalformedDocument
 
 DOC_ROOT = 0x01
@@ -43,17 +46,7 @@ DOC_FIRMWARE = 0x04
 DOC_INSTALLATION = 0x05
 DOC_CONFIGURATION = 0x06
 
-DOC_TYPE_NAMES = {
-    DOC_ROOT: "root",
-    DOC_MANUFACTURER: "manufacturer",
-    DOC_DEVICE: "device",
-    DOC_FIRMWARE: "firmware",
-    DOC_INSTALLATION: "installation",
-    DOC_CONFIGURATION: "configuration",
-}
-
-# Field tags, per document type. Tags are meaningful only together with the
-# doc_type; numbering restarts at 0x01 for each type and stays ascending.
+# Field tags, per document type: a tag is its field's position in the type's layout, from 0x01.
 ROOT_INFO = 0x01
 ROOT_PUBKEY = 0x02
 
@@ -83,48 +76,30 @@ SIG_ENTRY_LEN = crypto.KEY_ID_LEN + crypto.SIGNATURE_LEN  # signer_hint || signa
 _PK_FIELD_LEN = 1 + crypto.PUBLIC_KEY_LEN
 _U32 = struct.Struct(">I")
 
-# The chain of trust's shape: child doc_type -> (the only doc_type that may
-# issue (sign) it, the child's tag naming that issuer, the issuer's tag holding
-# the same id). The root names no issuer: it is the one trust anchor.
-_ISSUERS = {
-    DOC_MANUFACTURER: (DOC_ROOT, None, None),
-    DOC_DEVICE: (DOC_MANUFACTURER, DEV_MFR_ID, MFR_ID),
-    DOC_FIRMWARE: (DOC_MANUFACTURER, FW_MFR_ID, MFR_ID),
-    DOC_INSTALLATION: (DOC_DEVICE, INST_UUID, DEV_UUID),
-    DOC_CONFIGURATION: (DOC_DEVICE, CFG_UUID, DEV_UUID),
-}
-# issuing doc_type -> tag of the id its children name it by
-_CERTIFICATE_ID_TAG = {issuer: tag for issuer, _, tag in _ISSUERS.values() if tag is not None}
 
-# doc_type -> tag of the embedded public key, for types that carry one
-_EMBEDDED_KEY_TAG = {
-    DOC_ROOT: ROOT_PUBKEY,
-    DOC_MANUFACTURER: MFR_PUBKEY,
-    DOC_DEVICE: DEV_PUBKEY,
-}
+class _DocType(NamedTuple):
+    name: str
+    lengths: tuple[int | None, ...]  # the field with tag i has lengths[i - 1] bytes; None: any length
+    key_tag: int | None = None       # tag of the embedded public key
+    id_tag: int | None = None        # tag of the id its children name it by
+    issuer: int | None = None        # the only doc_type that may issue (sign) it
+    issuer_tag: int | None = None    # tag naming its issuer, by the issuer's id_tag value
 
-# doc_type -> exact required field layout: (tag, fixed_length or None)
-_REQUIRED_FIELDS = {
-    DOC_ROOT: ((ROOT_INFO, None), (ROOT_PUBKEY, _PK_FIELD_LEN)),
-    DOC_MANUFACTURER: ((MFR_INFO, None), (MFR_ID, MFR_ID_LEN), (MFR_PUBKEY, _PK_FIELD_LEN)),
-    DOC_DEVICE: (
-        (DEV_INFO, None),
-        (DEV_PUBKEY, _PK_FIELD_LEN),
-        (DEV_UUID, crypto.UUID_LEN),
-        (DEV_MFR_ID, MFR_ID_LEN),
+
+# The one table of document types, and so the chain of trust's shape: the root
+# (the one trust anchor, self-signed, naming no issuer) issues manufacturers; a
+# manufacturer its devices and firmware; a device its installation and configuration proofs.
+_TYPES = {
+    DOC_ROOT: _DocType("root", (None, _PK_FIELD_LEN), ROOT_PUBKEY),
+    DOC_MANUFACTURER: _DocType("manufacturer", (None, MFR_ID_LEN, _PK_FIELD_LEN), MFR_PUBKEY, MFR_ID, DOC_ROOT),
+    DOC_DEVICE: _DocType(
+        "device", (None, _PK_FIELD_LEN, UUID_LEN, MFR_ID_LEN), DEV_PUBKEY, DEV_UUID, DOC_MANUFACTURER, DEV_MFR_ID
     ),
-    DOC_FIRMWARE: ((FW_META, None), (FW_IMAGE_DIGEST, crypto.DIGEST_LEN), (FW_MFR_ID, MFR_ID_LEN)),
-    DOC_INSTALLATION: (
-        (INST_FW_DOC_DIGEST, crypto.DIGEST_LEN),
-        (INST_UUID, crypto.UUID_LEN),
-        (INST_INFO, None),
-    ),
-    DOC_CONFIGURATION: (
-        (CFG_DIGEST, crypto.DIGEST_LEN),
-        (CFG_UUID, crypto.UUID_LEN),
-        (CFG_SEQ, 8),
-    ),
+    DOC_FIRMWARE: _DocType("firmware", (None, DIGEST_LEN, MFR_ID_LEN), issuer=DOC_MANUFACTURER, issuer_tag=FW_MFR_ID),
+    DOC_INSTALLATION: _DocType("installation", (DIGEST_LEN, UUID_LEN, None), issuer=DOC_DEVICE, issuer_tag=INST_UUID),
+    DOC_CONFIGURATION: _DocType("configuration", (DIGEST_LEN, UUID_LEN, 8), issuer=DOC_DEVICE, issuer_tag=CFG_UUID),
 }
+DOC_TYPE_NAMES = {doc_type: t.name for doc_type, t in _TYPES.items()}
 
 DOC_FILE_EXT = ".tltdoc"
 
@@ -133,12 +108,12 @@ DOC_FILE_EXT = ".tltdoc"
 class Document:
     """Canonical signed artefact. Immutable; signing returns a new value.
 
-    Well-formed by construction: the fields follow _REQUIRED_FIELDS[doc_type]
-    tag for tag, at their fixed lengths, a key field is suite 0x01 (Ed25519)
-    followed by its key, a device certificate's UUID is a version-4 UUID, and
-    the signature is empty (unsigned) or one entry, signer_hint(16) ||
-    signature(64), as on the wire. Anything else raises MalformedDocument, so
-    embedded_public_key never fails on a Document.
+    Well-formed by construction: its type is in _TYPES, field i carries tag i
+    (tags are positions) at the length _TYPES fixes for it, a key field is
+    suite 0x01 (Ed25519) followed by its key, a device certificate's UUID is a
+    version-4 UUID, and the signature is empty (unsigned) or one entry,
+    signer_hint(16) || signature(64), as on the wire. Anything else raises
+    MalformedDocument, so embedded_public_key never fails on a Document.
     """
 
     doc_type: int
@@ -146,30 +121,27 @@ class Document:
     signature: bytes = b""
 
     def __post_init__(self):
-        layout = _REQUIRED_FIELDS.get(self.doc_type)
-        if layout is None:
+        t = _TYPES.get(self.doc_type)
+        if t is None:
             raise MalformedDocument(f"unknown doc_type 0x{self.doc_type:02x}")
-        name = DOC_TYPE_NAMES[self.doc_type]
-        if len(self.fields) != len(layout):
-            raise MalformedDocument(f"{name} document has wrong field count")
-        for (tag, value), (want_tag, want_len) in zip(self.fields, layout):
+        if len(self.fields) != len(t.lengths):
+            raise MalformedDocument(f"{t.name} document has wrong field count")
+        for want_tag, ((tag, value), want_len) in enumerate(zip(self.fields, t.lengths), 1):
             if tag != want_tag:
-                raise MalformedDocument(f"{name} document missing field 0x{want_tag:02x}")
+                raise MalformedDocument(f"{t.name} document missing field 0x{want_tag:02x}")
             if want_len is not None and len(value) != want_len:
                 raise MalformedDocument(f"field 0x{tag:02x} has wrong length")
-        key_tag = _EMBEDDED_KEY_TAG.get(self.doc_type)
-        if key_tag is not None and (suite := self.field(key_tag)[0]) != crypto.SUITE_ED25519_SHA256:
-            raise MalformedDocument(f"{name} key has unsupported suite 0x{suite:02x}")
+        if t.key_tag is not None and (suite := self.field(t.key_tag)[0]) != crypto.SUITE_ED25519_SHA256:
+            raise MalformedDocument(f"{t.name} key has unsupported suite 0x{suite:02x}")
         if self.doc_type == DOC_DEVICE and not crypto.is_uuid4(self.field(DEV_UUID)):
             raise MalformedDocument("device uuid is not a valid random UUID")
         if len(self.signature) not in (0, SIG_ENTRY_LEN):
             raise MalformedDocument(f"signature entry is {len(self.signature)} bytes, not {SIG_ENTRY_LEN}")
 
     def field(self, tag: int) -> bytes:
-        for t, value in self.fields:
-            if t == tag:
-                return value
-        raise MalformedDocument(f"no field 0x{tag:02x} in {DOC_TYPE_NAMES[self.doc_type]} document")
+        if not 0 < tag <= len(self.fields):
+            raise MalformedDocument(f"no field 0x{tag:02x} in {DOC_TYPE_NAMES[self.doc_type]} document")
+        return self.fields[tag - 1][1]
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +252,7 @@ def save_document(doc: Document, path) -> None:
 
 
 def load_document(path) -> Document:
-    return decode(Path(path).read_bytes())
+    return decode(crypto.read_file(path))
 
 
 def replace_file(path, data: bytes) -> None:
@@ -307,10 +279,10 @@ def replace_file(path, data: bytes) -> None:
 
 def embedded_public_key(doc: Document) -> PublicKey:
     """Public key carried by a certificate-type document."""
-    tag = _EMBEDDED_KEY_TAG.get(doc.doc_type)
-    if tag is None:
-        raise MalformedDocument(f"{DOC_TYPE_NAMES[doc.doc_type]} documents carry no key")
-    raw = doc.field(tag)  # Document fixes its length and suite
+    t = _TYPES[doc.doc_type]
+    if t.key_tag is None:
+        raise MalformedDocument(f"{t.name} documents carry no key")
+    raw = doc.field(t.key_tag)  # Document fixes its length and suite
     return PublicKey(raw[0], raw[1:])
 
 
@@ -320,13 +292,13 @@ def _pk_field(pk: PublicKey) -> bytes:
 
 def issuer_key(doc: Document) -> tuple[int, bytes] | None:
     """(doc_type, id) of the certificate that must sign doc; None if the root signs it or it is the root."""
-    issuer_type, tag, _ = _ISSUERS.get(doc.doc_type, (None, None, None))
-    return None if tag is None else (issuer_type, doc.field(tag))
+    t = _TYPES[doc.doc_type]
+    return None if t.issuer_tag is None else (t.issuer, doc.field(t.issuer_tag))
 
 
 def certificate_key(doc: Document) -> tuple[int, bytes] | None:
     """(doc_type, id) under which a manufacturer or device certificate is found, else None."""
-    tag = _CERTIFICATE_ID_TAG.get(doc.doc_type)
+    tag = _TYPES[doc.doc_type].id_tag
     return None if tag is None else (doc.doc_type, doc.field(tag))
 
 
@@ -347,9 +319,8 @@ def config_seq(doc: Document) -> int:
 # ---------------------------------------------------------------------------
 
 def _unsigned(doc_type: int, *values: bytes) -> Document:
-    """Unsigned document whose field values follow _REQUIRED_FIELDS[doc_type] in order."""
-    layout = _REQUIRED_FIELDS[doc_type]
-    return Document(doc_type, tuple((tag, value) for (tag, _), value in zip(layout, values, strict=True)))
+    """Unsigned document whose field values are given in tag order, from 0x01."""
+    return Document(doc_type, tuple(enumerate(values, 1)))
 
 
 def check_manufacturer_key(mfr_sk: SecretKey, mfr_cert: Document) -> None:
@@ -458,7 +429,7 @@ def verify_chain(chain: list[Document] | tuple[Document, ...], root: Document) -
     document's signature must verify under the embedded key of the next
     document (always suite 0x01: Document refuses any other), the final
     document must byte-equal the anchor and self-verify, and identity bindings
-    must hold: each document's issuer is of the type _ISSUERS allows and
+    must hold: each document's issuer is of the type _TYPES allows and
     carries the id the document names it by (issuer_key), i.e. the
     manufacturer id or the device UUID.
 
@@ -478,12 +449,9 @@ def verify_chain(chain: list[Document] | tuple[Document, ...], root: Document) -
         raise ChainInvalid(f"root does not self-verify: {exc}") from None
 
     for child, issuer in zip(chain, chain[1:]):
-        if issuer.doc_type != _ISSUERS.get(child.doc_type, (None,))[0]:
-            raise ChainInvalid(
-                f"{DOC_TYPE_NAMES[issuer.doc_type]} document cannot issue "
-                f"{DOC_TYPE_NAMES[child.doc_type]} documents"
-            )
+        child_name, issuer_name = DOC_TYPE_NAMES[child.doc_type], DOC_TYPE_NAMES[issuer.doc_type]
+        if issuer.doc_type != _TYPES[child.doc_type].issuer:
+            raise ChainInvalid(f"{issuer_name} document cannot issue {child_name} documents")
         if issuer_key(child) not in (None, certificate_key(issuer)):
-            child_name, issuer_name = DOC_TYPE_NAMES[child.doc_type], DOC_TYPE_NAMES[issuer.doc_type]
             raise ChainInvalid(f"{child_name} document names another {issuer_name}")
         signatures_verify(child, embedded_public_key(issuer))

@@ -55,6 +55,10 @@ class NotFound(TltError):
     """No record matches the lookup key."""
 
 
+class FileUnreadable(TltError):
+    """An input file (store log, document, device state, key, image or payload) cannot be read."""
+
+
 class StoreUnavailable(TltError):
     """A served store could not be reached, or its connection failed or timed out."""
 

@@ -20,10 +20,12 @@ Log format (`.tltlog`): one ASCII line per record, each ending in LF,
 match its type byte. Sequence numbers are plain decimal, start at 0 (the root)
 and increase by one per record; records are never rewritten. Loading streams
 the log one line at a time, replaying and revalidating each record as it is
-read, and aborts with CorruptLog naming the offending sequence number; it
-never holds the whole log text. Store.persist writes the whole log to a
-sibling temp file and renames it over the old one (documents.replace_file),
-so a concurrent load sees the old log or the new one, never a torn one.
+read, and aborts with CorruptLog naming the offending sequence number
+(FileUnreadable if the log cannot be opened); it never holds the whole log
+text. Store.persist rewrites the whole file atomically: a sibling temp file
+renamed over the old log (documents.replace_file), so a concurrent load sees
+the old log or the new one, never a torn one. CLI writers serialize on a lock
+across load, register and persist, so none loses another's record.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 from . import crypto, documents
 from .documents import Document
-from .errors import ConstraintViolation, CorruptLog, DuplicateUuid, NotFound, TltError, UnknownIssuer
+from .errors import ConstraintViolation, CorruptLog, DuplicateUuid, FileUnreadable, NotFound, TltError, UnknownIssuer
 
 _DOC_TYPE_BY_KIND = {name: doc_type for doc_type, name in documents.DOC_TYPE_NAMES.items()}
 
@@ -100,8 +102,7 @@ class Store:
             if digest in self._firmware:
                 raise ConstraintViolation("firmware already registered")
             self._firmware[digest] = seq
-        elif doc.doc_type in (documents.DOC_MANUFACTURER, documents.DOC_DEVICE):
-            key = documents.certificate_key(doc)
+        elif (key := documents.certificate_key(doc)) is not None:
             if key in self._certs:
                 if doc.doc_type == documents.DOC_DEVICE:
                     raise DuplicateUuid("a device with this UUID is already registered")
@@ -180,7 +181,11 @@ class Store:
 def load_store(path) -> Store:
     """Replay and revalidate a record log; CorruptLog on a refused record, a program fault propagates."""
     store: Store | None = None
-    with open(path, "rb") as log:
+    try:
+        log = open(path, "rb")
+    except OSError as exc:
+        raise FileUnreadable(exc) from None
+    with log:
         for i, line in enumerate(log):
             try:  # UnicodeDecodeError is a ValueError too
                 kind, seq_text, hex_text = line.removesuffix(b"\n").decode("ascii").split(" ")

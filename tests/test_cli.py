@@ -344,6 +344,43 @@ def test_bad_input_is_reported_by_its_error_class(workspace, capsys, argv, code,
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize("argv", [
+    ["store", "dump", "--store", "nothing.tltlog"],
+    ["verify", "challenge", "--store", "s.tltlog", "--device", "nothing.tltdev"],
+    ["mfr", "sign-fw", "--key", "authority.tltkey", "--cert", "nothing.tltdoc", "--image", "fw.bin",
+     "--meta", "v1", "--out", "fw.tltdoc"],
+], ids=["store", "device", "cert"])
+def test_a_missing_input_file_is_reported_as_unreadable(workspace, capsys, argv):
+    assert main(["authority", "init", "--store", "s.tltlog", "--key", "authority.tltkey"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FileUnreadable: ") and err.count("\n") == 1
+    assert "'nothing." in err
+
+
+def test_concurrent_writers_lose_no_record(workspace):
+    """`mfr register` runs started together on one store: each that exits 0 leaves its record."""
+    assert main(["authority", "init", "--store", "s.tltlog", "--key", "authority.tltkey"]) == 0
+    rounds, per_round = 2, 8
+    exits, errs = [], []
+    for r in range(rounds):
+        writers = [
+            subprocess.Popen(
+                [sys.executable, "-m", "tlt.cli", "mfr", "register", "--store", "s.tltlog",
+                 "--authority-key", "authority.tltkey", "--key", f"m{r}-{i}.tltkey", "--info", f"Maker {r}-{i}"],
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=subprocess_env(),
+            )
+            for i in range(per_round)
+        ]
+        for w in writers:
+            errs.append(w.communicate(timeout=60)[1])
+            exits.append(w.returncode)
+    kinds = [line.split(" ", 1)[0] for line in (workspace / "s.tltlog").read_text().splitlines()]
+    assert exits == [0] * (rounds * per_round), errs
+    assert kinds.count("manufacturer") == rounds * per_round
+
+
 def test_seeded_runs_reproducible(workspace, capsys):
     assert main(["--seed", "5", "authority", "init", "--store", "a.tltlog", "--key", "a.tltkey"]) == 0
     first = capsys.readouterr().out.splitlines()[0]

@@ -52,7 +52,7 @@ def test_swapping_field_values_changes_encoding_and_digest():
 def test_a_key_field_of_another_suite_is_malformed(stack, cert, suite):
     """A certificate exists only with a suite-0x01 key, so embedded_public_key cannot fail on it."""
     doc = getattr(stack, cert)
-    tag = documents._EMBEDDED_KEY_TAG[doc.doc_type]
+    tag = documents._TYPES[doc.doc_type].key_tag
     with pytest.raises(MalformedDocument, match=f"key has unsupported suite 0x{suite:02x}$"):
         _mutate(doc, tag, bytes([suite]) + doc.field(tag)[1:])
 
@@ -92,15 +92,15 @@ def test_decode_fuzz_never_crashes(rng):
 def _field_value(doc_type: int, tag: int, length: int | None):
     if doc_type == documents.DOC_DEVICE and tag == documents.DEV_UUID:
         return st.uuids(version=4).map(lambda u: u.bytes)
-    if tag == documents._EMBEDDED_KEY_TAG.get(doc_type):
+    if tag == documents._TYPES[doc_type].key_tag:
         return st.binary(min_size=crypto.PUBLIC_KEY_LEN, max_size=crypto.PUBLIC_KEY_LEN).map(lambda k: b"\x01" + k)
     return st.binary(max_size=40) if length is None else st.binary(min_size=length, max_size=length)
 
 
 def _layout_fields(doc_type: int):
-    layout = documents._REQUIRED_FIELDS[doc_type]
-    values = [_field_value(doc_type, tag, length) for tag, length in layout]
-    return st.tuples(*values).map(lambda vs: tuple((tag, v) for (tag, _), v in zip(layout, vs)))
+    lengths = documents._TYPES[doc_type].lengths
+    values = [_field_value(doc_type, tag, length) for tag, length in enumerate(lengths, 1)]
+    return st.tuples(*values).map(lambda vs: tuple(enumerate(vs, 1)))
 
 
 _layout_shapes = st.sampled_from(sorted(documents.DOC_TYPE_NAMES)).flatmap(
@@ -320,6 +320,85 @@ def test_a_document_carries_at_most_one_signature(stack):
         documents.decode(honest + second)
     with pytest.raises(MalformedDocument, match="^manufacturer document is already signed$"):
         documents.sign(stack.mcrt, stack.authority_sk)
+
+
+# ---------------------------------------------------------------------------
+# The chain of trust's shape, per document type
+# ---------------------------------------------------------------------------
+
+_TYPE_IDS = sorted(documents.DOC_TYPE_NAMES)
+
+# The paper's five issuing edges: child type -> the one type that issues it.
+_PAPER_EDGES = {
+    documents.DOC_MANUFACTURER: documents.DOC_ROOT,
+    documents.DOC_DEVICE: documents.DOC_MANUFACTURER,
+    documents.DOC_FIRMWARE: documents.DOC_MANUFACTURER,
+    documents.DOC_INSTALLATION: documents.DOC_DEVICE,
+    documents.DOC_CONFIGURATION: documents.DOC_DEVICE,
+}
+
+
+def _docs_by_type(stack) -> dict[int, Document]:
+    """One honest document of each type, all from the stack's one manufacturer and device."""
+    cfg = documents.make_configuration_document(b"cfg", stack.dev.uuid, 1, stack.dev.secret_key)
+    return {doc.doc_type: doc for doc in (stack.root, stack.mcrt, stack.dcrt, stack.fw_doc, stack.inst, cfg)}
+
+
+@pytest.mark.parametrize("issuer_type", _TYPE_IDS, ids=documents.DOC_TYPE_NAMES.get)
+@pytest.mark.parametrize("child_type", _TYPE_IDS, ids=documents.DOC_TYPE_NAMES.get)
+def test_only_the_paper_edges_issue(stack, child_type, issuer_type):
+    """A child over an honest chain from an issuer of each type verifies only on the paper's edges."""
+    docs = _docs_by_type(stack)
+    chain = [docs[child_type], docs[issuer_type]]
+    while chain[-1].doc_type != documents.DOC_ROOT:
+        chain.append(docs[_PAPER_EDGES[chain[-1].doc_type]])
+    if _PAPER_EDGES.get(child_type) == issuer_type:
+        documents.verify_chain(chain, stack.root)
+    else:
+        child, issuer = documents.DOC_TYPE_NAMES[child_type], documents.DOC_TYPE_NAMES[issuer_type]
+        with pytest.raises(ChainInvalid, match=f"^{issuer} document cannot issue {child} documents$"):
+            documents.verify_chain(chain, stack.root)
+
+
+@pytest.mark.parametrize("doc_type", _TYPE_IDS, ids=documents.DOC_TYPE_NAMES.get)
+def test_per_type_accessors(stack, doc_type):
+    doc = _docs_by_type(stack)[doc_type]
+    name = documents.DOC_TYPE_NAMES[doc_type]
+    mfr = (documents.DOC_MANUFACTURER, stack.mcrt.field(documents.MFR_ID))
+    dev = (documents.DOC_DEVICE, stack.dev.uuid)
+    certificate_key, issuer_key = {
+        documents.DOC_ROOT: (None, None),
+        documents.DOC_MANUFACTURER: (mfr, None),
+        documents.DOC_DEVICE: (dev, mfr),
+        documents.DOC_FIRMWARE: (None, mfr),
+        documents.DOC_INSTALLATION: (None, dev),
+        documents.DOC_CONFIGURATION: (None, dev),
+    }[doc_type]
+    assert documents.certificate_key(doc) == certificate_key
+    assert documents.issuer_key(doc) == issuer_key
+
+    keys = {
+        documents.DOC_ROOT: crypto.public_key_of(stack.authority_sk),
+        documents.DOC_MANUFACTURER: crypto.public_key_of(stack.mfr_sk),
+        documents.DOC_DEVICE: stack.dev.public_key,
+    }
+    if doc_type in keys:
+        assert documents.embedded_public_key(doc) == keys[doc_type]
+    else:
+        with pytest.raises(MalformedDocument, match=f"^{name} documents carry no key$"):
+            documents.embedded_public_key(doc)
+
+    if doc_type in (documents.DOC_DEVICE, documents.DOC_INSTALLATION, documents.DOC_CONFIGURATION):
+        assert documents.subject_uuid(doc) == stack.dev.uuid
+    else:
+        with pytest.raises(MalformedDocument, match="^document carries no device uuid$"):
+            documents.subject_uuid(doc)
+
+    n = len(doc.fields)
+    assert [doc.field(tag) for tag in range(1, n + 1)] == [value for _, value in doc.fields]
+    for tag in (0, n + 1):
+        with pytest.raises(MalformedDocument, match=f"^no field 0x{tag:02x} in {name} document$"):
+            doc.field(tag)
 
 
 # ---------------------------------------------------------------------------
