@@ -1,21 +1,4 @@
-"""Command-line tools for each actor, plus the threat harness.
-
-Subcommands:
-
-    tlt authority init      create an authority key, root certificate, store
-    tlt mfr register        register a manufacturer with the authority
-    tlt mfr sign-fw         sign a firmware image into a firmware document
-    tlt device birth        provision a simulated device and register it
-    tlt device install      verify and install signed firmware on a device
-    tlt device configure    apply a configuration to a device
-    tlt device advertise    print the device's advertising frame
-    tlt device respond      answer a challenge with a signed attestation
-    tlt store serve         serve read-only lookups until interrupted (Ctrl-C)
-    tlt store dump          print a human-readable record summary
-    tlt verify scan         extract a UUID from an advertising frame
-    tlt verify challenge    one exchange with a device (verifier.run_exchange)
-    tlt verify decide       turn a VERDICT line into an accept/reject
-    tlt threats run         replay threat scenarios TA01..TA06 (+ control)
+"""Command-line tools for each actor, plus the threat harness (`tlt --help` lists the commands).
 
 The store path defaults to the TLT_STORE environment variable. `--seed`
 builds one deterministic randomness source that main() hands to every draw
@@ -36,7 +19,7 @@ from . import crypto, documents, netstore, threats, transport
 from . import device as device_mod
 from . import store as store_mod
 from . import verifier as verifier_mod
-from .errors import FileUnreadable, MissingFragment, TltError, UsageError
+from .errors import FileUnreadable, MissingFragment, ParseError, TltError, UsageError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,6 +31,7 @@ def _add_store_arg(sp, required=True):
     sp.add_argument(
         "--store",
         default=os.environ.get("TLT_STORE"),
+        type=_text,
         help="store log path (default: $TLT_STORE)" + ("" if required else ", optional"),
     )
 
@@ -59,22 +43,26 @@ def _need_store(args) -> Path:
 
 
 @contextlib.contextmanager
-def _locked_store(store_path):
-    """The store at store_path, loaded under an exclusive lock and persisted if the block ends normally.
-
-    CLI writers serialize here, so none loses a record; persist replaces the log, so the lock is on its directory.
-    """
+def _store_lock(store_path):
+    """An exclusive lock for CLI writers of the store at store_path; persist replaces the log, so it locks the directory."""
     try:
         fd = os.open(Path(store_path).parent, os.O_RDONLY)
     except OSError as exc:
         raise FileUnreadable(exc) from None
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)  # releases the lock
+
+
+@contextlib.contextmanager
+def _locked_store(store_path):
+    """The store at store_path, loaded under _store_lock and persisted if the block ends normally, so no writer loses a record."""
+    with _store_lock(store_path):
         st = store_mod.load_store(store_path)
         yield st
         st.persist(store_path)
-    finally:
-        os.close(fd)  # releases the lock
 
 
 def _new_files(command: str, *paths: Path) -> None:
@@ -84,6 +72,22 @@ def _new_files(command: str, *paths: Path) -> None:
             raise UsageError(f"{path} already exists; {command} never overwrites")
         if not path.parent.is_dir():
             raise UsageError(f"{path.parent} is not a directory")
+
+
+def _text(text: str) -> str:
+    """Text for a document or for stdout, so it must encode as UTF-8 (argv that is not decodes to surrogates)."""
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError(f"not UTF-8: {text!r}") from None
+    return text
+
+
+def _output(text: str) -> Path:
+    path = Path(_text(text))
+    if not path.name:
+        raise argparse.ArgumentTypeError(f"no file name in {text!r}")
+    return path
 
 
 def _port(text: str) -> int:
@@ -99,96 +103,108 @@ def _hex(text: str) -> bytes:
         raise argparse.ArgumentTypeError(f"not hex: {text!r}") from None
 
 
+def _host(text: str) -> str:
+    try:
+        text.encode("idna")  # as the socket module encodes it
+    except UnicodeError:
+        raise argparse.ArgumentTypeError(f"not a host name: {text!r}") from None
+    return text
+
+
 def _address(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    return host or "127.0.0.1", _port(port)
+    return _host(host) or "127.0.0.1", _port(port)
+
+
+def _actor(sub, name: str, help: str):
+    """The subparsers of one actor's commands."""
+    return sub.add_parser(name, help=help).add_subparsers(metavar="CMD")
+
+
+def _command(sub, name: str, help: str, run) -> _Parser:
+    """One command's parser; main() calls run(args) when it is chosen."""
+    sp = sub.add_parser(name, help=help)
+    sp.set_defaults(run=run)
+    return sp
+
+
+def _add_device_args(sp) -> None:
+    sp.add_argument("--device", required=True, help="device state path (.tltdev)")
+    sp.add_argument("--key", help="device secret key path (default: sibling .tltkey)")
 
 
 def build_parser() -> _Parser:
     p = _Parser(prog="tlt", description="Touch-less trust tooling for IoT devices")
     p.add_argument("--seed", type=int, help="deterministic randomness seed")
     p.add_argument("--trace-frames", action="store_true", help="hex-dump frames to stderr")
-    sub = p.add_subparsers(dest="actor", metavar="ACTOR")
+    sub = p.add_subparsers(metavar="ACTOR")
 
-    authority = sub.add_parser("authority", help="trust authority operations")
-    asub = authority.add_subparsers(dest="command", metavar="CMD")
-    init = asub.add_parser("init", help="create authority key, root certificate and store")
+    asub = _actor(sub, "authority", "trust authority operations")
+    init = _command(asub, "init", "create authority key, root certificate and store", _cmd_authority_init)
     _add_store_arg(init)
-    init.add_argument("--key", required=True, help="authority secret key output path (.tltkey)")
-    init.add_argument("--info", default="TLT Root Authority", help="authority identifying text")
+    init.add_argument("--key", required=True, type=_output, help="authority secret key output path (.tltkey)")
+    init.add_argument("--info", default="TLT Root Authority", type=_text, help="authority identifying text")
 
-    mfr = sub.add_parser("mfr", help="manufacturer operations")
-    msub = mfr.add_subparsers(dest="command", metavar="CMD")
-    mreg = msub.add_parser("register", help="create manufacturer keys and register with the store")
+    msub = _actor(sub, "mfr", "manufacturer operations")
+    mreg = _command(msub, "register", "create manufacturer keys and register with the store", _cmd_mfr_register)
     _add_store_arg(mreg)
     mreg.add_argument("--authority-key", required=True, help="authority secret key path")
-    mreg.add_argument("--key", required=True, help="manufacturer secret key output path")
-    mreg.add_argument("--cert-out", help="certificate output path (default: key path + .tltdoc)")
-    mreg.add_argument("--info", required=True, help="manufacturer identifying text")
-    msf = msub.add_parser("sign-fw", help="sign a firmware image into a firmware document")
+    mreg.add_argument("--key", required=True, type=_output, help="manufacturer secret key output path")
+    mreg.add_argument("--cert-out", type=_output, help="certificate output path (default: key path + .tltdoc)")
+    mreg.add_argument("--info", required=True, type=_text, help="manufacturer identifying text")
+    msf = _command(msub, "sign-fw", "sign a firmware image into a firmware document", _cmd_mfr_sign_fw)
     _add_store_arg(msf, required=False)
     msf.add_argument("--key", required=True, help="manufacturer secret key path")
     msf.add_argument("--cert", required=True, help="manufacturer certificate path")
     msf.add_argument("--image", required=True, help="firmware image file")
-    msf.add_argument("--meta", required=True, help="firmware version/model text")
-    msf.add_argument("--out", required=True, help="firmware document output path")
+    msf.add_argument("--meta", required=True, type=_text, help="firmware version/model text")
+    msf.add_argument("--out", required=True, type=_output, help="firmware document output path")
 
-    dev = sub.add_parser("device", help="simulated device operations")
-    dsub = dev.add_subparsers(dest="command", metavar="CMD")
-    birth = dsub.add_parser("birth", help="provision a device and register its certificate")
+    dsub = _actor(sub, "device", "simulated device operations")
+    birth = _command(dsub, "birth", "provision a device and register its certificate", _cmd_device_birth)
     _add_store_arg(birth)
     birth.add_argument("--mfr-key", required=True, help="manufacturer secret key path")
     birth.add_argument("--mfr-cert", required=True, help="manufacturer certificate path")
-    birth.add_argument("--info", required=True, help="device model/info text")
-    birth.add_argument("--out", required=True, help="device state output path (.tltdev)")
-    install = dsub.add_parser("install", help="verify and install signed firmware")
+    birth.add_argument("--info", required=True, type=_text, help="device model/info text")
+    birth.add_argument("--out", required=True, type=_output, help="device state output path (.tltdev)")
+    install = _command(dsub, "install", "verify and install signed firmware", _cmd_device_install)
     _add_store_arg(install, required=False)
-    install.add_argument("--device", required=True, help="device state path")
-    install.add_argument("--key", help="device secret key path (default: sibling .tltkey)")
+    _add_device_args(install)
     install.add_argument("--fw", required=True, help="firmware document path")
     install.add_argument("--image", required=True, help="firmware image file")
     install.add_argument("--mfr-cert", required=True, help="manufacturer certificate path")
-    install.add_argument("--instinfo", default="slot=0", help="installation detail text")
-    configure = dsub.add_parser("configure", help="apply a configuration payload")
+    install.add_argument("--instinfo", default="slot=0", type=_text, help="installation detail text")
+    configure = _command(dsub, "configure", "apply a configuration payload", _cmd_device_configure)
     _add_store_arg(configure, required=False)
-    configure.add_argument("--device", required=True, help="device state path")
-    configure.add_argument("--key", help="device secret key path")
+    _add_device_args(configure)
     configure.add_argument("--config", required=True, help="configuration payload file")
     configure.add_argument("--seq", required=True, type=int, help="configuration sequence number")
-    adv = dsub.add_parser("advertise", help="print the advertising frame as hex")
-    adv.add_argument("--device", required=True, help="device state path")
-    adv.add_argument("--key", help="device secret key path")
-    resp = dsub.add_parser("respond", help="answer a challenge (nonce hex or frame hex)")
-    resp.add_argument("--device", required=True, help="device state path")
-    resp.add_argument("--key", help="device secret key path")
+    _add_device_args(_command(dsub, "advertise", "print the advertising frame as hex", _cmd_device_advertise))
+    resp = _command(dsub, "respond", "answer a challenge (nonce hex or frame hex)", _cmd_device_respond)
+    _add_device_args(resp)
     resp.add_argument("--challenge", required=True, type=_hex, help="challenge nonce or challenge frame, hex")
 
-    st = sub.add_parser("store", help="trust store operations")
-    ssub = st.add_subparsers(dest="command", metavar="CMD")
-    serve = ssub.add_parser("serve", help="serve DEV/STATE lookups over TCP until interrupted")
+    ssub = _actor(sub, "store", "trust store operations")
+    serve = _command(ssub, "serve", "serve DEV/STATE lookups over TCP until interrupted", _cmd_store_serve)
     _add_store_arg(serve)
-    serve.add_argument("--host", default="127.0.0.1")
+    serve.add_argument("--host", default="127.0.0.1", type=_host)
     serve.add_argument("--port", type=_port, default=7345, help="TCP port, 0..65535")
-    dump = ssub.add_parser("dump", help="print a summary of every record")
-    _add_store_arg(dump)
+    _add_store_arg(_command(ssub, "dump", "print a summary of every record", _cmd_store_dump))
 
-    ver = sub.add_parser("verify", help="user-side verification")
-    vsub = ver.add_subparsers(dest="command", metavar="CMD")
-    scan = vsub.add_parser("scan", help="extract the UUID from an advertising frame")
+    vsub = _actor(sub, "verify", "user-side verification")
+    scan = _command(vsub, "scan", "extract the UUID from an advertising frame", _cmd_verify_scan)
     scan.add_argument("--frame", required=True, type=_hex, help="advertising frame hex")
-    challenge = vsub.add_parser("challenge", help="scan, challenge and judge a device")
+    challenge = _command(vsub, "challenge", "scan, challenge and judge a device", _cmd_verify_challenge)
     _add_store_arg(challenge, required=False)
     challenge.add_argument("--connect", type=_address, help="query a served store at HOST:PORT instead of --store")
-    challenge.add_argument("--device", required=True, help="device state path of the peer")
-    challenge.add_argument("--key", help="device secret key path")
+    _add_device_args(challenge)
     challenge.add_argument("--auto-accept", action="store_true", help="accept on an open gate without prompting")
-    decide = vsub.add_parser("decide", help="accept/reject from a VERDICT line")
+    decide = _command(vsub, "decide", "accept/reject from a VERDICT line", _cmd_verify_decide)
     decide.add_argument("--line", help="VERDICT line (default: first line of stdin)")
     decide.add_argument("--auto-accept", action="store_true")
 
-    threat = sub.add_parser("threats", help="threat-scenario harness")
-    tsub = threat.add_subparsers(dest="command", metavar="CMD")
-    trun = tsub.add_parser("run", help="run all scenarios, or one by id (TA01..TA06, CTRL)")
+    tsub = _actor(sub, "threats", "threat-scenario harness")
+    trun = _command(tsub, "run", "run all scenarios, or one by id (TA01..TA06, CTRL)", _cmd_threats_run)
     trun.add_argument("scenario", nargs="?", help="scenario id; all when omitted")
 
     return p
@@ -200,13 +216,15 @@ def build_parser() -> _Parser:
 
 def _cmd_authority_init(args) -> int:
     store_path = _need_store(args)
-    _new_files("authority init", store_path, Path(args.key), Path(args.key).with_suffix(crypto.PUBLIC_KEY_EXT))
+    pub_path = args.key.with_suffix(crypto.PUBLIC_KEY_EXT)
+    _new_files("authority init", store_path, args.key, pub_path)
     pk, sk = crypto.generate_keypair(args.rng)
     root = documents.make_root_certificate(args.info, pk, sk)
-    st = store_mod.Store(root)
-    st.persist(store_path)
+    with _store_lock(store_path):
+        _new_files("authority init", store_path)  # one of concurrent inits wins; the others write nothing
+        store_mod.Store(root).persist(store_path)
     crypto.save_secret_key(sk, args.key)
-    crypto.save_public_key(pk, Path(args.key).with_suffix(crypto.PUBLIC_KEY_EXT))
+    crypto.save_public_key(pk, pub_path)
     print(f"root={documents.doc_digest(root).hex()}")
     print(f"store={store_path}")
     return 0
@@ -214,8 +232,8 @@ def _cmd_authority_init(args) -> int:
 
 def _cmd_mfr_register(args) -> int:
     store_path = _need_store(args)
-    cert_out = Path(args.cert_out) if args.cert_out else Path(args.key).with_suffix(documents.DOC_FILE_EXT)
-    _new_files("mfr register", Path(args.key), cert_out)
+    cert_out = args.cert_out or args.key.with_suffix(documents.DOC_FILE_EXT)
+    _new_files("mfr register", args.key, cert_out)
     authority_sk = crypto.load_secret_key(args.authority_key)
     pk, sk = crypto.generate_keypair(args.rng)
     mcrt = documents.make_manufacturer_certificate(args.info, pk, authority_sk, args.rng)
@@ -230,7 +248,7 @@ def _cmd_mfr_register(args) -> int:
 
 
 def _cmd_mfr_sign_fw(args) -> int:
-    _new_files("mfr sign-fw", Path(args.out))
+    _new_files("mfr sign-fw", args.out)
     sk = crypto.load_secret_key(args.key)
     mcrt = documents.load_document(args.cert)
     image = crypto.read_file(args.image)
@@ -245,17 +263,16 @@ def _cmd_mfr_sign_fw(args) -> int:
 
 def _cmd_device_birth(args) -> int:
     store_path = _need_store(args)
-    out = Path(args.out)
-    _new_files("device birth", out, out.with_suffix(crypto.SECRET_KEY_EXT))
+    _new_files("device birth", args.out, args.out.with_suffix(crypto.SECRET_KEY_EXT))
     mfr_sk = crypto.load_secret_key(args.mfr_key)
     mcrt = documents.load_document(args.mfr_cert)
     with _locked_store(store_path) as st:
         dev, dcrt = device_mod.device_birth(mcrt, mfr_sk, st.root, args.info, args.rng)
         st.register("device", dcrt)
-    device_mod.save_device(dev, out)
-    crypto.save_secret_key(dev.secret_key, out.with_suffix(crypto.SECRET_KEY_EXT))
+    device_mod.save_device(dev, args.out)
+    crypto.save_secret_key(dev.secret_key, args.out.with_suffix(crypto.SECRET_KEY_EXT))
     print(f"uuid={dev.uuid.hex()}")
-    print(f"device={out}")
+    print(f"device={args.out}")
     return 0
 
 
@@ -263,30 +280,28 @@ def _load_device(args) -> device_mod.DeviceState:
     return device_mod.load_device(args.device, key_path=args.key, rng=args.rng)
 
 
+def _record_on_device(args, dev, doc) -> int:
+    """Register doc (under _locked_store) when --store is given, then save the device and print its state."""
+    if args.store:
+        with _locked_store(args.store) as st:
+            st.register(documents.DOC_TYPE_NAMES[doc.doc_type], doc)
+    device_mod.save_device(dev, args.device)
+    print(f"state={dev.compute_state_digest().hex()}")
+    return 0
+
+
 def _cmd_device_install(args) -> int:
     dev = _load_device(args)
     fw_doc = documents.load_document(args.fw)
     image = crypto.read_file(args.image)
     mcrt = documents.load_document(args.mfr_cert)
-    inst = dev.install_firmware(fw_doc, image, [mcrt], args.instinfo)
-    if args.store:
-        with _locked_store(args.store) as st:
-            st.register("installation", inst)
-    device_mod.save_device(dev, args.device)
-    print(f"state={dev.compute_state_digest().hex()}")
-    return 0
+    return _record_on_device(args, dev, dev.install_firmware(fw_doc, image, [mcrt], args.instinfo))
 
 
 def _cmd_device_configure(args) -> int:
     dev = _load_device(args)
     payload = crypto.read_file(args.config)
-    cfg = dev.apply_configuration(payload, args.seq)
-    if args.store:
-        with _locked_store(args.store) as st:
-            st.register("configuration", cfg)
-    device_mod.save_device(dev, args.device)
-    print(f"state={dev.compute_state_digest().hex()}")
-    return 0
+    return _record_on_device(args, dev, dev.apply_configuration(payload, args.seq))
 
 
 def _cmd_device_advertise(args) -> int:
@@ -347,17 +362,27 @@ def _cmd_verify_challenge(args) -> int:
     with store_view if args.connect else contextlib.nullcontext():
         verdict = verifier_mod.run_exchange(store_view, _load_device(args), args.rng)
     print(verdict.render())
-    accepted = verifier_mod.trust_decision(verdict, args.auto_accept)
-    print("ACCEPT" if accepted else "REJECT")
+    _accepted(verdict, args)
     return 0
 
 
 def _cmd_verify_decide(args) -> int:
-    line = args.line if args.line else sys.stdin.readline()
-    verdict = verifier_mod.parse_verdict_line(line)
-    accepted = verifier_mod.trust_decision(verdict, args.auto_accept)
+    line = args.line if args.line else _from_stdin(sys.stdin.readline)
+    return 0 if _accepted(verifier_mod.parse_verdict_line(line), args) else 1
+
+
+def _from_stdin(read, *args) -> str:
+    try:
+        return read(*args)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"stdin is not {exc.encoding}") from None
+
+
+def _accepted(verdict, args) -> bool:
+    """The trust decision (asked on stdin unless --auto-accept), printed as ACCEPT or REJECT."""
+    accepted = verifier_mod.trust_decision(verdict, args.auto_accept, lambda question: _from_stdin(input, question))
     print("ACCEPT" if accepted else "REJECT")
-    return 0 if accepted else 1
+    return accepted
 
 
 def _cmd_threats_run(args) -> int:
@@ -371,39 +396,18 @@ def _cmd_threats_run(args) -> int:
     return 0 if not failed else 1
 
 
-_HANDLERS = {
-    ("authority", "init"): _cmd_authority_init,
-    ("mfr", "register"): _cmd_mfr_register,
-    ("mfr", "sign-fw"): _cmd_mfr_sign_fw,
-    ("device", "birth"): _cmd_device_birth,
-    ("device", "install"): _cmd_device_install,
-    ("device", "configure"): _cmd_device_configure,
-    ("device", "advertise"): _cmd_device_advertise,
-    ("device", "respond"): _cmd_device_respond,
-    ("store", "serve"): _cmd_store_serve,
-    ("store", "dump"): _cmd_store_dump,
-    ("verify", "scan"): _cmd_verify_scan,
-    ("verify", "challenge"): _cmd_verify_challenge,
-    ("verify", "decide"): _cmd_verify_decide,
-    ("threats", "run"): _cmd_threats_run,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.actor is None or getattr(args, "command", None) is None:
+        if not hasattr(args, "run"):
             raise UsageError("missing subcommand")
-        handler = _HANDLERS.get((args.actor, args.command))
-        if handler is None:
-            raise UsageError(f"unknown subcommand {args.actor} {args.command}")
         args.rng = crypto.SeededRandomSource(args.seed) if args.seed is not None else None
         if args.trace_frames:
             transport.set_frame_trace(
                 lambda direction, data: print(f"FRAME {direction} {data.hex()}", file=sys.stderr)
             )
-        return handler(args)
+        return args.run(args)
     except UsageError as exc:
         print(f"UsageError: {exc}", file=sys.stderr)
         return 2
@@ -412,7 +416,7 @@ def main(argv=None) -> int:
     except TltError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
+    except OSError as exc:  # an output write, a closed stdout, a serve bind
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     finally:

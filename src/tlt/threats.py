@@ -46,9 +46,6 @@ THREAT_CONTROL_MAP = {
     "TA06": frozenset({"C05", "C06"}),
 }
 
-SCENARIO_IDS = ("TA01", "TA02", "TA03", "TA04", "TA05", "TA06", "CTRL")
-
-
 @dataclass
 class ScenarioReport:
     scenario_id: str
@@ -219,53 +216,33 @@ def _scenario_ta06(rng) -> tuple[TrustVerdict, list[str]]:
     return verdict, notes
 
 
-@dataclass(frozen=True)
-class Scenario:
-    scenario_id: str
-    title: str
-    expected_states: tuple[StateCheck, ...]
-    expected_gate: bool
-    run: object
-
-
+# Scenario id -> (title, the verdicts it expects, the scenario), in report order. The gate must
+# be open exactly on verified_current, which only the control expects.
 _SCENARIOS = {
-    "CTRL": Scenario(
-        "CTRL", "honest-device control", (StateCheck.VERIFIED_CURRENT,), True, _scenario_ctrl
-    ),
-    "TA01": Scenario(
-        "TA01", "biometric-harvesting device", (StateCheck.UNKNOWN_STATE,), False, _scenario_ta01
-    ),
-    "TA02": Scenario(
-        "TA02", "credential-collecting rollback", (StateCheck.VERIFIED_STALE,), False, _scenario_ta02
-    ),
-    "TA03": Scenario(
-        "TA03", "app-exploit response", (StateCheck.BAD_SIGNATURE,), False, _scenario_ta03
-    ),
-    "TA04": Scenario(
-        "TA04", "reprogrammed device", (StateCheck.UNKNOWN_STATE,), False, _scenario_ta04
-    ),
-    "TA05": Scenario(
-        "TA05", "impostor device", (StateCheck.UNKNOWN_DEVICE, StateCheck.BAD_SIGNATURE), False, _scenario_ta05
-    ),
-    "TA06": Scenario(
-        "TA06", "unregistered reconfiguration", (StateCheck.UNKNOWN_STATE,), False, _scenario_ta06
-    ),
+    "TA01": ("biometric-harvesting device", {StateCheck.UNKNOWN_STATE}, _scenario_ta01),
+    "TA02": ("credential-collecting rollback", {StateCheck.VERIFIED_STALE}, _scenario_ta02),
+    "TA03": ("app-exploit response", {StateCheck.BAD_SIGNATURE}, _scenario_ta03),
+    "TA04": ("reprogrammed device", {StateCheck.UNKNOWN_STATE}, _scenario_ta04),
+    "TA05": ("impostor device", {StateCheck.UNKNOWN_DEVICE, StateCheck.BAD_SIGNATURE}, _scenario_ta05),
+    "TA06": ("unregistered reconfiguration", {StateCheck.UNKNOWN_STATE}, _scenario_ta06),
+    "CTRL": ("honest-device control", {StateCheck.VERIFIED_CURRENT}, _scenario_ctrl),
 }
+SCENARIO_IDS = tuple(_SCENARIOS)
 
 
 def run_scenario(scenario_id: str, seed: int | None = None) -> ScenarioReport:
     """Execute one scenario; ScenarioError only for harness setup failures."""
-    scenario = _SCENARIOS.get(scenario_id)
-    if scenario is None:
+    if scenario_id not in _SCENARIOS:
         raise ScenarioError(f"unknown scenario {scenario_id!r}")
+    title, expected, scenario = _SCENARIOS[scenario_id]
     rng = crypto.SeededRandomSource(seed) if seed is not None else None
-    verdict, notes = scenario.run(rng)
-    passed = verdict.state_check in scenario.expected_states and verdict.gate == scenario.expected_gate
+    verdict, notes = scenario(rng)
+    state = verdict.state_check
     return ScenarioReport(
-        scenario_id=scenario.scenario_id,
-        title=scenario.title,
-        passed=passed,
-        state_check=verdict.state_check.value,
+        scenario_id=scenario_id,
+        title=title,
+        passed=state in expected and verdict.gate == (state is StateCheck.VERIFIED_CURRENT),
+        state_check=state.value,
         gate=verdict.gate,
         controls_fired=tuple(sorted(THREAT_CONTROL_MAP.get(scenario_id, ("C06",)))),
         notes=notes + [f"verdict: {verdict.render()}"],

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import io
 import signal
 import subprocess
 import sys
@@ -212,6 +213,8 @@ def test_serve_rejects_out_of_range_port(workspace, capsys, monkeypatch):
     ("127.0.0.1:99999", "port must be 0..65535, not '99999'"),
     ("nocolon", "port must be 0..65535, not 'nocolon'"),
     ("host:", "port must be 0..65535, not ''"),
+    pytest.param("\udcff:7345", "not a host name: '\\udcff'", id="not-utf8-host"),
+    pytest.param(f"{'a' * 64}:7345", f"not a host name: '{'a' * 64}'", id="64-byte-label"),  # DNS allows 63
 ])
 def test_challenge_rejects_a_bad_store_address(workspace, capsys, monkeypatch, address, complaint):
     def no_client(*_args, **_kwargs):
@@ -305,6 +308,24 @@ def test_threats_run_deterministic(workspace, capsys):
 # Errors, env defaults, global flags
 # ---------------------------------------------------------------------------
 
+_LEAVES = [("authority", "init"), ("mfr", "register"), ("mfr", "sign-fw"), ("device", "birth"),
+           ("device", "install"), ("device", "configure"), ("device", "advertise"), ("device", "respond"),
+           ("store", "serve"), ("store", "dump"), ("verify", "scan"), ("verify", "challenge"),
+           ("verify", "decide"), ("threats", "run")]
+
+
+@pytest.mark.parametrize("actor, command", _LEAVES, ids=[" ".join(leaf) for leaf in _LEAVES])
+def test_every_command_has_help(workspace, capsys, actor, command):
+    assert main([actor, command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: tlt {actor} {command} ")
+
+
+@pytest.mark.parametrize("actor", sorted({actor for actor, _ in _LEAVES}))
+def test_an_actor_alone_is_a_missing_subcommand(workspace, capsys, actor):
+    assert main([actor]) == 2
+    assert capsys.readouterr().err == "UsageError: missing subcommand\n"
+
+
 def test_unknown_subcommand_exits_2(workspace, capsys):
     assert main(["frobnicate"]) == 2
     assert "UsageError" in capsys.readouterr().err
@@ -333,15 +354,36 @@ def test_error_code_name_on_stderr(workspace, capsys):
     assert "CorruptLog" in capsys.readouterr().err
 
 
+_NOT_UTF8 = "\udcff"  # how argv decodes the byte 0xff
+
+
 @pytest.mark.parametrize("argv, code, err", [
     (["verify", "decide", "--line", "garbage"], 1, "ParseError: not a VERDICT line\n"),
+    (["verify", "decide"], 1, "ParseError: stdin is not utf-8\n"),
+    (["verify", "decide", "--line", "VERDICT uuid=00 state=verified_current gate=1 reason=ok"], 1,
+     "ParseError: stdin is not utf-8\n"),  # the accept prompt reads stdin
     (["device", "respond", "--device", "dev.tltdev", "--challenge", "zz"], 2,
      "UsageError: argument --challenge: not hex: 'zz'\n"),
     (["verify", "scan", "--frame", "zz"], 2, "UsageError: argument --frame: not hex: 'zz'\n"),
-], ids=["decide-line", "respond-challenge", "scan-frame"])
-def test_bad_input_is_reported_by_its_error_class(workspace, capsys, argv, code, err):
+    (["authority", "init", "--store", "s.tltlog", "--key", "a.tltkey", "--info", _NOT_UTF8], 2,
+     "UsageError: argument --info: not UTF-8: '\\udcff'\n"),
+    (["mfr", "sign-fw", "--key", "acme.tltkey", "--cert", "acme.tltdoc", "--image", "fw.bin", "--meta", _NOT_UTF8,
+      "--out", "fw.tltdoc"], 2, "UsageError: argument --meta: not UTF-8: '\\udcff'\n"),
+    (["device", "install", "--device", "dev.tltdev", "--fw", "fw.tltdoc", "--image", "fw.bin", "--mfr-cert",
+      "acme.tltdoc", "--instinfo", _NOT_UTF8], 2, "UsageError: argument --instinfo: not UTF-8: '\\udcff'\n"),
+    (["store", "serve", "--store", "s.tltlog", "--host", _NOT_UTF8], 2,
+     "UsageError: argument --host: not a host name: '\\udcff'\n"),
+    (["authority", "init", "--store", f"{_NOT_UTF8}.tltlog", "--key", "a.tltkey"], 2,
+     "UsageError: argument --store: not UTF-8: '\\udcff.tltlog'\n"),
+    (["authority", "init", "--store", "s.tltlog", "--key", ""], 2, "UsageError: argument --key: no file name in ''\n"),
+    (_BIRTH + ["--out", "/"], 2, "UsageError: argument --out: no file name in '/'\n"),
+], ids=["decide-line", "decide-stdin", "decide-prompt", "respond-challenge", "scan-frame", "init-info", "sign-fw-meta",
+        "install-instinfo", "serve-host", "init-store", "init-key", "birth-out"])
+def test_bad_input_is_reported_by_its_error_class(workspace, capsys, monkeypatch, argv, code, err):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\n"), encoding="utf-8"))  # strict
     assert main(argv) == code
     assert capsys.readouterr().err == err
+    assert not list(workspace.iterdir())
 
 
 @pytest.mark.parametrize("argv", [
@@ -379,6 +421,35 @@ def test_concurrent_writers_lose_no_record(workspace):
     kinds = [line.split(" ", 1)[0] for line in (workspace / "s.tltlog").read_text().splitlines()]
     assert exits == [0] * (rounds * per_round), errs
     assert kinds.count("manufacturer") == rounds * per_round
+
+
+def test_concurrent_authority_inits_have_one_winner(workspace):
+    """`authority init` runs released together on one store: one exits 0 and its root is the log's, the rest write nothing."""
+    # Each child imports tlt, says it is ready, then waits for one byte on stdin; all are released at once.
+    child = "import sys; from tlt.cli import main; print(flush=True); sys.stdin.read(1); sys.exit(main(sys.argv[1:]))"
+    for r in range(3):
+        with contextlib.ExitStack() as stack:
+            inits = [
+                stack.enter_context(subprocess.Popen(
+                    [sys.executable, "-c", child, "authority", "init", "--store", f"s{r}.tltlog", "--key", f"a{r}-{i}.tltkey"],
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env(), text=True,
+                ))
+                for i in range(6)
+            ]
+            assert [p.stdout.readline() for p in inits] == ["\n"] * len(inits)
+            for p in inits:
+                p.stdin.write("x")
+                p.stdin.flush()
+            outs = [p.communicate(timeout=60) for p in inits]
+        exits = [p.returncode for p in inits]
+        assert sorted(exits) == [0] + [2] * 5, outs
+        (winner_out, _), = [out for out, code in zip(outs, exits) if code == 0]
+        root = documents.doc_digest(load_store(workspace / f"s{r}.tltlog").root).hex()
+        assert winner_out.splitlines()[0] == f"root={root}"
+        for i, ((_, err), code) in enumerate(zip(outs, exits)):
+            if code == 2:
+                assert err.startswith("UsageError: ") and err.count("\n") == 1
+                assert not list(workspace.glob(f"a{r}-{i}.*"))
 
 
 def test_seeded_runs_reproducible(workspace, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -69,6 +70,21 @@ def test_single_scenario_run():
     assert report.passed
     assert report.state_check == "unknown_device"
     assert any("bad_signature" in note for note in report.notes)
+
+
+@pytest.mark.parametrize("scenario_id", ["TA01", "CTRL"])
+def test_a_gate_that_disagrees_with_the_verdict_fails_the_scenario(monkeypatch, scenario_id):
+    """The expected state with the gate flipped (open on a threat, closed on the control) is not a pass."""
+    exchange = threats.run_exchange
+
+    def flip_gate(*args, **kwargs):
+        verdict = exchange(*args, **kwargs)
+        return dataclasses.replace(verdict, gate=not verdict.gate)
+
+    monkeypatch.setattr(threats, "run_exchange", flip_gate)
+    report = run_scenario(scenario_id, seed=4)
+    assert report.state_check == ("verified_current" if scenario_id == "CTRL" else "unknown_state")
+    assert not report.passed
 
 
 def test_unknown_scenario_raises():
