@@ -374,6 +374,8 @@ def _cmd_verify_decide(args) -> int:
 def _from_stdin(read, *args) -> str:
     try:
         return read(*args)
+    except EOFError:  # end of stdin is an empty answer, so a "no"
+        return ""
     except UnicodeDecodeError as exc:
         raise ParseError(f"stdin is not {exc.encoding}") from None
 

@@ -1,9 +1,9 @@
 """Canonical documents and chain-of-trust verification.
 
 Every signed artefact in the ecosystem (certificates, firmware documents,
-installation and configuration proofs) is a Document: a type tag, an ordered
-field list, and at most one signature, made by its issuer. One table, _TYPES,
-holds each document type's name, field lengths, key and id fields, and issuer.
+installation and configuration proofs) is a Document: a type, its field values
+in layout order, and at most one signature, made by its issuer. One table,
+_TYPES, holds each type's name, field lengths, key and id fields, and issuer.
 A Document is well-formed by construction (see Document), so every document
 read from disk, a socket or a `.tltdev` file fails closed where it is decoded.
 verify_chain, the one chain-of-trust check, returns None or raises ChainInvalid
@@ -16,12 +16,12 @@ Wire format (the `.tltdoc` file content is exactly these bytes):
     fields       field_count times: tag(1) || length(4, big-endian) || value
     signature    absent (unsigned) or signer_hint(16) || signature(64)
 
-Field tags are positions: a document's fields carry tags 0x01, 0x02, ... in
-its type's layout order, so the encoding is injective and byte-stable. The
-signature covers the body, i.e. the byte prefix that precedes it: doc_type,
-field_count and fields. The signer hint is the key id of the signing key and is
-checked during verification, so every byte of a document is covered by some
-check.
+Field tags exist only on the wire: a field's tag is its position in its
+type's layout, 0x01 upward, written by the encoder and checked by decode, so
+the encoding is injective and byte-stable. The signature covers the body,
+i.e. the byte prefix that precedes it: doc_type, field_count and fields. The
+signer hint is the key id of the signing key and is checked during
+verification, so every byte of a document is covered by some check.
 
 Reader and prefixed are the one way binary formats (documents, `.tltdev`
 files, store answers) are read and written; Reader fails closed.
@@ -75,11 +75,12 @@ MFR_ID_LEN = 16
 SIG_ENTRY_LEN = crypto.KEY_ID_LEN + crypto.SIGNATURE_LEN  # signer_hint || signature
 _PK_FIELD_LEN = 1 + crypto.PUBLIC_KEY_LEN
 _U32 = struct.Struct(">I")
+_FIELD_HEADER = struct.Struct(">BI")  # tag, value length
 
 
 class _DocType(NamedTuple):
     name: str
-    lengths: tuple[int | None, ...]  # the field with tag i has lengths[i - 1] bytes; None: any length
+    lengths: tuple[int | None, ...]  # the value with tag i has lengths[i - 1] bytes; None: any length
     key_tag: int | None = None       # tag of the embedded public key
     id_tag: int | None = None        # tag of the id its children name it by
     issuer: int | None = None        # the only doc_type that may issue (sign) it
@@ -108,8 +109,8 @@ DOC_FILE_EXT = ".tltdoc"
 class Document:
     """Canonical signed artefact. Immutable; signing returns a new value.
 
-    Well-formed by construction: its type is in _TYPES, field i carries tag i
-    (tags are positions) at the length _TYPES fixes for it, a key field is
+    Well-formed by construction: its type is in _TYPES, values holds one value
+    per field, in layout order, at the length _TYPES fixes for it, a key field is
     suite 0x01 (Ed25519) followed by its key, a device certificate's UUID is a
     version-4 UUID, and the signature is empty (unsigned) or one entry,
     signer_hint(16) || signature(64), as on the wire. Anything else raises
@@ -117,18 +118,16 @@ class Document:
     """
 
     doc_type: int
-    fields: tuple[tuple[int, bytes], ...]
+    values: tuple[bytes, ...]
     signature: bytes = b""
 
     def __post_init__(self):
         t = _TYPES.get(self.doc_type)
         if t is None:
             raise MalformedDocument(f"unknown doc_type 0x{self.doc_type:02x}")
-        if len(self.fields) != len(t.lengths):
+        if len(self.values) != len(t.lengths):
             raise MalformedDocument(f"{t.name} document has wrong field count")
-        for want_tag, ((tag, value), want_len) in enumerate(zip(self.fields, t.lengths), 1):
-            if tag != want_tag:
-                raise MalformedDocument(f"{t.name} document missing field 0x{want_tag:02x}")
+        for tag, (value, want_len) in enumerate(zip(self.values, t.lengths), 1):
             if want_len is not None and len(value) != want_len:
                 raise MalformedDocument(f"field 0x{tag:02x} has wrong length")
         if t.key_tag is not None and (suite := self.field(t.key_tag)[0]) != crypto.SUITE_ED25519_SHA256:
@@ -139,9 +138,9 @@ class Document:
             raise MalformedDocument(f"signature entry is {len(self.signature)} bytes, not {SIG_ENTRY_LEN}")
 
     def field(self, tag: int) -> bytes:
-        if not 0 < tag <= len(self.fields):
+        if not 0 < tag <= len(self.values):
             raise MalformedDocument(f"no field 0x{tag:02x} in {DOC_TYPE_NAMES[self.doc_type]} document")
-        return self.fields[tag - 1][1]
+        return self.values[tag - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +218,10 @@ def signing_payload(doc: Document) -> bytes:
 
 
 def _body(doc: Document) -> bytes:
-    out = bytearray([doc.doc_type, len(doc.fields)])
-    for tag, value in doc.fields:
-        out.append(tag)
-        out += prefixed(value)
+    out = bytearray((doc.doc_type, len(doc.values)))
+    for tag, value in enumerate(doc.values, 1):
+        out += _FIELD_HEADER.pack(tag, len(value))
+        out += value
     return bytes(out)
 
 
@@ -230,8 +229,12 @@ def decode(data: bytes) -> Document:
     """Exact inverse of encode_canonical; raises MalformedDocument otherwise."""
     r = Reader(data)
     doc_type, field_count = r.take(2)
-    fields = tuple((r.u8(), r.prefixed()) for _ in range(field_count))
-    return Document(doc_type, fields, r.rest())
+    values = []
+    for tag in range(1, field_count + 1):
+        if r.u8() != tag:
+            raise MalformedDocument(f"{DOC_TYPE_NAMES.get(doc_type, 'unknown')} document missing field 0x{tag:02x}")
+        values.append(r.prefixed())
+    return Document(doc_type, tuple(values), r.rest())
 
 
 def sign(doc: Document, sk: SecretKey) -> Document:
@@ -239,7 +242,7 @@ def sign(doc: Document, sk: SecretKey) -> Document:
     if doc.signature:
         raise MalformedDocument(f"{DOC_TYPE_NAMES[doc.doc_type]} document is already signed")
     sig = crypto.sign(sk, signing_payload(doc))
-    return Document(doc.doc_type, doc.fields, crypto.key_id(crypto.public_key_of(sk)) + sig)
+    return Document(doc.doc_type, doc.values, crypto.key_id(crypto.public_key_of(sk)) + sig)
 
 
 def doc_digest(doc: Document) -> bytes:
@@ -318,11 +321,6 @@ def config_seq(doc: Document) -> int:
 # Constructors
 # ---------------------------------------------------------------------------
 
-def _unsigned(doc_type: int, *values: bytes) -> Document:
-    """Unsigned document whose field values are given in tag order, from 0x01."""
-    return Document(doc_type, tuple(enumerate(values, 1)))
-
-
 def check_manufacturer_key(mfr_sk: SecretKey, mfr_cert: Document) -> None:
     """InvalidKey unless mfr_cert is a manufacturer certificate for mfr_sk's public key."""
     if mfr_cert.doc_type != DOC_MANUFACTURER or crypto.public_key_of(mfr_sk) != embedded_public_key(mfr_cert):
@@ -333,7 +331,7 @@ def make_root_certificate(info: str, public_key: PublicKey, secret_key: SecretKe
     """Self-signed root anchoring all chain verification."""
     if crypto.public_key_of(secret_key) != public_key:
         raise InvalidKey("secret key does not match the authority public key")
-    return sign(_unsigned(DOC_ROOT, info.encode(), _pk_field(public_key)), secret_key)
+    return sign(Document(DOC_ROOT, (info.encode(), _pk_field(public_key))), secret_key)
 
 
 def make_manufacturer_certificate(
@@ -341,7 +339,7 @@ def make_manufacturer_certificate(
 ) -> Document:
     """Authority-signed manufacturer certificate with a fresh 16-byte id."""
     mfr_id = crypto.random_bytes(MFR_ID_LEN, rng)
-    doc = _unsigned(DOC_MANUFACTURER, mfr_info.encode(), mfr_id, _pk_field(mfr_pk))
+    doc = Document(DOC_MANUFACTURER, (mfr_info.encode(), mfr_id, _pk_field(mfr_pk)))
     return sign(doc, authority_sk)
 
 
@@ -353,7 +351,7 @@ def make_device_certificate(
     if not crypto.is_uuid4(uuid):
         raise ConstraintViolation("device uuid is not a valid random UUID")
     _, mfr_id = certificate_key(mfr_cert)
-    doc = _unsigned(DOC_DEVICE, dinf.encode(), _pk_field(device_pk), bytes(uuid), mfr_id)
+    doc = Document(DOC_DEVICE, (dinf.encode(), _pk_field(device_pk), bytes(uuid), mfr_id))
     return sign(doc, mfr_sk)
 
 
@@ -361,7 +359,7 @@ def sign_firmware(fw_image: bytes, fw_meta: str, mfr_sk: SecretKey, mfr_cert: Do
     """Manufacturer-signed firmware document over the image digest."""
     check_manufacturer_key(mfr_sk, mfr_cert)
     _, mfr_id = certificate_key(mfr_cert)
-    doc = _unsigned(DOC_FIRMWARE, fw_meta.encode(), crypto.digest(fw_image), mfr_id)
+    doc = Document(DOC_FIRMWARE, (fw_meta.encode(), crypto.digest(fw_image), mfr_id))
     return sign(doc, mfr_sk)
 
 
@@ -374,7 +372,7 @@ def make_installation_document(
     itself; the store keeps the full form, so the digest is always
     resolvable.
     """
-    doc = _unsigned(DOC_INSTALLATION, doc_digest(fw_doc), bytes(uuid), instinfo.encode())
+    doc = Document(DOC_INSTALLATION, (doc_digest(fw_doc), bytes(uuid), instinfo.encode()))
     return sign(doc, device_sk)
 
 
@@ -384,7 +382,7 @@ def make_configuration_document(
     """Device-signed record of the configuration payload digest."""
     if not 0 < seq <= 0xFFFFFFFFFFFFFFFF:
         raise ConstraintViolation("configuration sequence must be a positive 64-bit integer")
-    doc = _unsigned(DOC_CONFIGURATION, crypto.digest(cfg_payload), bytes(uuid), seq.to_bytes(8, "big"))
+    doc = Document(DOC_CONFIGURATION, (crypto.digest(cfg_payload), bytes(uuid), seq.to_bytes(8, "big")))
     return sign(doc, device_sk)
 
 
@@ -394,7 +392,7 @@ def empty_configuration_document(uuid: bytes) -> Document:
     seq 0 is reserved for this form, so the first real configuration must
     use seq >= 1.
     """
-    return _unsigned(DOC_CONFIGURATION, crypto.digest(b""), bytes(uuid), (0).to_bytes(8, "big"))
+    return Document(DOC_CONFIGURATION, (crypto.digest(b""), bytes(uuid), (0).to_bytes(8, "big")))
 
 
 def state_digest(inst_doc: Document, cfg_doc: Document | None, uuid: bytes) -> bytes:

@@ -77,7 +77,7 @@ def decode_device_payload(payload: bytes, uuid: bytes) -> DeviceView:
             raise ParseError("device payload is not a device certificate followed by its issuer's")
         if documents.subject_uuid(dcrt) != bytes(uuid):
             raise ParseError("device certificate is for another UUID")
-        return DeviceView.from_certificates(dcrt, mcrt)
+        return DeviceView(dcrt, mcrt)
     except MalformedDocument as exc:
         raise ParseError(f"malformed device payload: {exc}") from None
 

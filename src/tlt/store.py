@@ -30,6 +30,7 @@ across load, register and persist, so none loses another's record.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import crypto, documents
@@ -41,16 +42,14 @@ _DOC_TYPE_BY_KIND = {name: doc_type for doc_type, name in documents.DOC_TYPE_NAM
 
 @dataclass(frozen=True)
 class DeviceView:
-    """What a verifier learns about a registered device: its key and certificate chain."""
+    """What a verifier learns about a registered device: its certificate chain, and so its key."""
 
-    public_key: crypto.PublicKey
     certificate: Document
     mfr_certificate: Document
 
-    @classmethod
-    def from_certificates(cls, dcrt: Document, mcrt: Document) -> DeviceView:
-        """View of a device certificate and its issuer; the key is the certificate's."""
-        return cls(documents.embedded_public_key(dcrt), dcrt, mcrt)
+    @functools.cached_property
+    def public_key(self) -> crypto.PublicKey:
+        return documents.embedded_public_key(self.certificate)
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,7 @@ class Store:
         if seq is None:
             raise NotFound("unknown device UUID")
         dcrt = self.records[seq]
-        return DeviceView.from_certificates(dcrt, *self._resolve_intermediates(dcrt))
+        return DeviceView(dcrt, *self._resolve_intermediates(dcrt))
 
     def lookup_state(self, uuid: bytes, state_digest: bytes) -> StateView:
         uuid, state_digest = bytes(uuid), bytes(state_digest)

@@ -52,9 +52,12 @@ class ScenarioReport:
     title: str
     passed: bool
     state_check: str
-    gate: bool
     controls_fired: tuple[str, ...]
     notes: list[str] = field(default_factory=list)
+
+    @property
+    def gate(self) -> bool:
+        return self.state_check == StateCheck.VERIFIED_CURRENT.value
 
     def render(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -200,7 +203,7 @@ def _scenario_ta05(rng) -> tuple[TrustVerdict, list[str]]:
     clone = copy.deepcopy(impostor)
     clone.uuid = eco.dev.uuid
     clone_verdict = run_exchange(eco.store, clone, rng)
-    if clone_verdict.state_check != StateCheck.BAD_SIGNATURE or clone_verdict.gate:
+    if clone_verdict.state_check != StateCheck.BAD_SIGNATURE:
         raise ScenarioError("cloned-UUID impostor was not rejected on signature")
     notes.append("cloned-UUID probe rejected: bad_signature")
     return verdict, notes
@@ -216,8 +219,8 @@ def _scenario_ta06(rng) -> tuple[TrustVerdict, list[str]]:
     return verdict, notes
 
 
-# Scenario id -> (title, the verdicts it expects, the scenario), in report order. The gate must
-# be open exactly on verified_current, which only the control expects.
+# Scenario id -> (title, the verdicts it expects, the scenario), in report order. The gate is
+# open exactly on verified_current, which only the control expects.
 _SCENARIOS = {
     "TA01": ("biometric-harvesting device", {StateCheck.UNKNOWN_STATE}, _scenario_ta01),
     "TA02": ("credential-collecting rollback", {StateCheck.VERIFIED_STALE}, _scenario_ta02),
@@ -237,13 +240,11 @@ def run_scenario(scenario_id: str, seed: int | None = None) -> ScenarioReport:
     title, expected, scenario = _SCENARIOS[scenario_id]
     rng = crypto.SeededRandomSource(seed) if seed is not None else None
     verdict, notes = scenario(rng)
-    state = verdict.state_check
     return ScenarioReport(
         scenario_id=scenario_id,
         title=title,
-        passed=state in expected and verdict.gate == (state is StateCheck.VERIFIED_CURRENT),
-        state_check=state.value,
-        gate=verdict.gate,
+        passed=verdict.state_check in expected,
+        state_check=verdict.state_check.value,
         controls_fired=tuple(sorted(THREAT_CONTROL_MAP.get(scenario_id, ("C06",)))),
         notes=notes + [f"verdict: {verdict.render()}"],
     )

@@ -36,25 +36,24 @@ class StateCheck(enum.Enum):
 class ChallengeSession:
     uuid: bytes
     challenge: bytes
-    issued_at: int
 
 
 @dataclass(frozen=True)
 class TrustVerdict:
     uuid: bytes
     state_check: StateCheck
-    gate: bool
     reason: str
 
+    @property
+    def gate(self) -> bool:  # open exactly on a verified, current state
+        return self.state_check is StateCheck.VERIFIED_CURRENT
+
     def render(self) -> str:
-        return (
-            f"VERDICT uuid={self.uuid.hex()} state={self.state_check.value} "
-            f"gate={1 if self.gate else 0} reason={self.reason}"
-        )
+        return f"VERDICT uuid={self.uuid.hex()} state={self.state_check.value} gate={self.gate:d} reason={self.reason}"
 
 
 def parse_verdict_line(line: str) -> TrustVerdict:
-    """Inverse of TrustVerdict.render; ParseError on any other line."""
+    """Inverse of TrustVerdict.render; ParseError on any other line, including a gate its state does not give."""
     parts = line.strip().split(" ", 4)
     if len(parts) != 5 or parts[0] != "VERDICT" or not all("=" in p for p in parts[1:]):
         raise ParseError("not a VERDICT line")
@@ -63,10 +62,12 @@ def parse_verdict_line(line: str) -> TrustVerdict:
     if missing:
         raise ParseError(f"VERDICT line lacks {', '.join(sorted(missing))}")
     try:
-        uuid, state_check = bytes.fromhex(fields["uuid"]), StateCheck(fields["state"])
+        verdict = TrustVerdict(bytes.fromhex(fields["uuid"]), StateCheck(fields["state"]), fields["reason"])
     except ValueError as exc:
         raise ParseError(f"bad VERDICT line: {exc}") from None
-    return TrustVerdict(uuid=uuid, state_check=state_check, gate=fields["gate"] == "1", reason=fields["reason"])
+    if fields["gate"] != f"{verdict.gate:d}":
+        raise ParseError(f"VERDICT line has gate={fields['gate']} but state={fields['state']}")
+    return verdict
 
 
 def scan(frame_bytes: bytes) -> bytes:
@@ -79,17 +80,15 @@ class Verifier:
 
     def __init__(self, rng=None):
         self._rng = rng
-        self._sessions: dict[bytes, ChallengeSession] = {}
-        self._counter = 0
+        self._sessions: dict[bytes, ChallengeSession] = {}  # the live session per UUID
 
     def issue_challenge(self, uuid: bytes) -> tuple[ChallengeSession, list[bytes]]:
         """Fresh nonce for a device, framed for the data channel.
 
         Reissuing replaces any outstanding challenge for the same UUID, so
-        at most one is live per device.
+        at most one is live per device: the very session object returned here.
         """
-        self._counter += 1
-        session = ChallengeSession(bytes(uuid), crypto.new_nonce(self._rng), self._counter)
+        session = ChallengeSession(bytes(uuid), crypto.new_nonce(self._rng))
         self._sessions[session.uuid] = session
         frames = transport.fragment(transport.MSG_CHALLENGE, session.challenge)
         return session, [transport.encode_data_frame(f) for f in frames]
@@ -102,13 +101,12 @@ class Verifier:
         The challenge is consumed whatever the outcome; a second submission
         against the same session raises NoSuchSession.
         """
-        live = self._sessions.get(session.uuid)
-        if live is None or live.issued_at != session.issued_at:
+        if self._sessions.get(session.uuid) is not session:
             raise NoSuchSession("no outstanding challenge for this device")
         del self._sessions[session.uuid]
 
-        def verdict(check: StateCheck, reason: str, gate: bool = False) -> TrustVerdict:
-            return TrustVerdict(session.uuid, check, gate, reason)
+        def verdict(check: StateCheck, reason: str) -> TrustVerdict:
+            return TrustVerdict(session.uuid, check, reason)
 
         if device_view is None:
             return verdict(StateCheck.UNKNOWN_DEVICE, "device is not registered")
@@ -137,7 +135,7 @@ class Verifier:
                 StateCheck.VERIFIED_STALE,
                 f"state is registered but superseded (firmware {state_view.fw_meta!r})",
             )
-        return verdict(StateCheck.VERIFIED_CURRENT, "ok", gate=True)
+        return verdict(StateCheck.VERIFIED_CURRENT, "ok")
 
 
 def _receive(frames: list[bytes]) -> bytes:

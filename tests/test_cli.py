@@ -128,6 +128,18 @@ def test_verify_decide(workspace, capsys, monkeypatch):
     assert main(["verify", "decide", "--line", verdict_line]) == 0
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "decide", "--line", "VERDICT uuid=00 state=verified_current gate=1 reason=ok"], 1),
+    (["verify", "challenge", "--store", "s.tltlog", "--device", "dev.tltdev"], 0),
+], ids=["decide", "challenge"])
+def test_end_of_stdin_at_the_accept_prompt_reads_as_no(workspace, capsys, monkeypatch, argv, code):
+    _provision(workspace, capsys)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out.endswith("accept interaction? [y/N] REJECT\n") and err == ""
+
+
 def test_authority_init_never_overwrites(workspace, capsys, monkeypatch):
     _provision(workspace, capsys)  # the store now holds a manufacturer
     kept = ["s.tltlog", "authority.tltkey", "authority.tltpub"]
@@ -362,6 +374,8 @@ _NOT_UTF8 = "\udcff"  # how argv decodes the byte 0xff
     (["verify", "decide"], 1, "ParseError: stdin is not utf-8\n"),
     (["verify", "decide", "--line", "VERDICT uuid=00 state=verified_current gate=1 reason=ok"], 1,
      "ParseError: stdin is not utf-8\n"),  # the accept prompt reads stdin
+    (["verify", "decide", "--auto-accept", "--line", "VERDICT uuid=00 state=unknown_state gate=1 reason=x"], 1,
+     "ParseError: VERDICT line has gate=1 but state=unknown_state\n"),  # the gate follows the state
     (["device", "respond", "--device", "dev.tltdev", "--challenge", "zz"], 2,
      "UsageError: argument --challenge: not hex: 'zz'\n"),
     (["verify", "scan", "--frame", "zz"], 2, "UsageError: argument --frame: not hex: 'zz'\n"),
@@ -377,8 +391,8 @@ _NOT_UTF8 = "\udcff"  # how argv decodes the byte 0xff
      "UsageError: argument --store: not UTF-8: '\\udcff.tltlog'\n"),
     (["authority", "init", "--store", "s.tltlog", "--key", ""], 2, "UsageError: argument --key: no file name in ''\n"),
     (_BIRTH + ["--out", "/"], 2, "UsageError: argument --out: no file name in '/'\n"),
-], ids=["decide-line", "decide-stdin", "decide-prompt", "respond-challenge", "scan-frame", "init-info", "sign-fw-meta",
-        "install-instinfo", "serve-host", "init-store", "init-key", "birth-out"])
+], ids=["decide-line", "decide-stdin", "decide-prompt", "decide-gate", "respond-challenge", "scan-frame", "init-info",
+        "sign-fw-meta", "install-instinfo", "serve-host", "init-store", "init-key", "birth-out"])
 def test_bad_input_is_reported_by_its_error_class(workspace, capsys, monkeypatch, argv, code, err):
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\n"), encoding="utf-8"))  # strict
     assert main(argv) == code

@@ -75,10 +75,7 @@ def test_remember_digest_stores_verified_document(stack):
 
 
 def test_remember_digest_rejects_corrupted_document(stack):
-    fields = tuple(
-        (t, b"evil" if t == documents.FW_META else v) for t, v in stack.fw_doc.fields
-    )
-    corrupted = Document(stack.fw_doc.doc_type, fields, stack.fw_doc.signature)
+    corrupted = Document(stack.fw_doc.doc_type, (b"evil", *stack.fw_doc.values[1:]), stack.fw_doc.signature)
     before = set(stack.dev.verified_digests)
     with pytest.raises(ChainInvalid):
         stack.dev.install_firmware(corrupted, stack.fw_image, [stack.mcrt], "slot=1")
@@ -307,6 +304,13 @@ def test_simulate_boot_detects_foreign_installation(stack, rng):
 def test_simulate_boot_detects_an_installation_in_the_configuration_slot(tmp_path, stack):
     """The device's own signed installation, about itself, is still not a configuration."""
     stack.dev.cfg = stack.dev.installation
+    assert stack.dev.simulate_boot() == BootStatus.INTEGRITY_FAILED
+    assert _save_and_load(stack.dev, tmp_path).boot_status == BootStatus.INTEGRITY_FAILED
+
+
+def test_simulate_boot_detects_firmware_the_device_never_verified(tmp_path, stack):
+    """Secure boot: the installed firmware's digest must be one the device verified itself."""
+    stack.dev.verified_digests = {bytes(crypto.DIGEST_LEN)}
     assert stack.dev.simulate_boot() == BootStatus.INTEGRITY_FAILED
     assert _save_and_load(stack.dev, tmp_path).boot_status == BootStatus.INTEGRITY_FAILED
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,9 @@ from tlt.store import Store
 
 def _mutate(doc: Document, tag: int, value: bytes) -> Document:
     """Rebuild a document with one field replaced, keeping its signature."""
-    fields = tuple((t, value if t == tag else v) for t, v in doc.fields)
-    return Document(doc.doc_type, fields, doc.signature)
+    values = list(doc.values)
+    values[tag - 1] = value
+    return Document(doc.doc_type, tuple(values), doc.signature)
 
 
 # ---------------------------------------------------------------------------
@@ -34,15 +36,15 @@ _PK = bytes([crypto.SUITE_ED25519_SHA256]) + bytes(crypto.PUBLIC_KEY_LEN)
 
 
 def test_encoding_deterministic():
-    a = Document(documents.DOC_ROOT, ((documents.ROOT_INFO, b"info"), (documents.ROOT_PUBKEY, _PK)))
-    b = Document(documents.DOC_ROOT, ((documents.ROOT_INFO, b"info"), (documents.ROOT_PUBKEY, _PK)))
+    a = Document(documents.DOC_ROOT, (b"info", _PK))
+    b = Document(documents.DOC_ROOT, (b"info", _PK))
     assert documents.encode_canonical(a) == documents.encode_canonical(b)
 
 
 def test_swapping_field_values_changes_encoding_and_digest():
     alpha, beta = b"\x01alpha".ljust(len(_PK), b"."), b"\x01beta".ljust(len(_PK), b".")
-    a = Document(documents.DOC_ROOT, ((documents.ROOT_INFO, alpha), (documents.ROOT_PUBKEY, beta)))
-    b = Document(documents.DOC_ROOT, ((documents.ROOT_INFO, beta), (documents.ROOT_PUBKEY, alpha)))
+    a = Document(documents.DOC_ROOT, (alpha, beta))
+    b = Document(documents.DOC_ROOT, (beta, alpha))
     assert documents.encode_canonical(a) != documents.encode_canonical(b)
     assert documents.doc_digest(a) != documents.doc_digest(b)
 
@@ -58,10 +60,16 @@ def test_a_key_field_of_another_suite_is_malformed(stack, cert, suite):
 
 
 def test_encode_rejects_non_ascending_tags():
-    with pytest.raises(MalformedDocument):
-        Document(documents.DOC_ROOT, ((documents.ROOT_PUBKEY, _PK), (documents.ROOT_INFO, b"y")))
-    with pytest.raises(MalformedDocument):
-        Document(documents.DOC_ROOT, ((documents.ROOT_INFO, b"x"), (documents.ROOT_INFO, b"y")))
+    """Tags exist only on the wire, so decode refuses any field whose tag is not its position."""
+
+    def root(*tagged: tuple[int, bytes]) -> bytes:
+        fields = b"".join(bytes([t]) + documents.prefixed(v) for t, v in tagged)
+        return bytes([documents.DOC_ROOT, len(tagged)]) + fields
+
+    documents.decode(root((1, b"x"), (2, _PK)))
+    for tagged in ([(2, _PK), (1, b"x")], [(1, b"x"), (1, _PK)], [(0, b"x"), (2, _PK)], [(1, b"x"), (3, _PK)]):
+        with pytest.raises(MalformedDocument, match="^root document missing field 0x0[12]$"):
+            documents.decode(root(*tagged))
 
 
 def test_decode_truncated_raises(stack):
@@ -82,11 +90,30 @@ def test_decode_fuzz_never_crashes(rng):
         blob = rng.bytes(rng.bytes(1)[0])
         try:
             doc = documents.decode(blob)
-            assert isinstance(doc, Document)
-            outcomes["ok"] += 1
         except MalformedDocument:
             outcomes["malformed"] += 1
+        else:
+            assert documents.encode_canonical(doc) == blob
+            outcomes["ok"] += 1
     assert outcomes["malformed"] > 0
+
+
+def test_every_flip_and_cut_is_refused_or_decodes_to_itself(stack):
+    """decode accepts only canonical bytes (C5 relies on it): each single-bit flip and each
+    truncation of an honest document of each type is malformed or encodes back to itself."""
+    for doc in _docs_by_type(stack).values():
+        encoded = documents.encode_canonical(doc)
+        flips = (
+            encoded[:i] + bytes([encoded[i] ^ 1 << bit]) + encoded[i + 1 :]
+            for i in range(len(encoded))
+            for bit in range(8)
+        )
+        for blob in itertools.chain(flips, (encoded[:n] for n in range(len(encoded)))):
+            try:
+                decoded = documents.decode(blob)
+            except MalformedDocument:
+                continue
+            assert documents.encode_canonical(decoded) == blob
 
 
 def _field_value(doc_type: int, tag: int, length: int | None):
@@ -99,8 +126,7 @@ def _field_value(doc_type: int, tag: int, length: int | None):
 
 def _layout_fields(doc_type: int):
     lengths = documents._TYPES[doc_type].lengths
-    values = [_field_value(doc_type, tag, length) for tag, length in enumerate(lengths, 1)]
-    return st.tuples(*values).map(lambda vs: tuple(enumerate(vs, 1)))
+    return st.tuples(*(_field_value(doc_type, tag, length) for tag, length in enumerate(lengths, 1)))
 
 
 _layout_shapes = st.sampled_from(sorted(documents.DOC_TYPE_NAMES)).flatmap(
@@ -117,11 +143,12 @@ def test_canonical_stability_property(shape, signature):
     assert documents.decode(encoded) == doc
 
 
-# Mostly wrong shapes, sometimes exactly a layout; tags and lengths may be off
-# by one, and the signature entry may be absent, one byte short or long, or two.
+# Mostly wrong shapes, sometimes exactly a layout; the type, the count and the
+# lengths may be off, and the signature entry may be absent, one byte short or
+# long, or two. Wrong tags exist only on the wire (test_every_flip_and_cut_...).
 _any_shapes = st.one_of(
     _layout_shapes,
-    st.tuples(st.integers(0, 8), st.lists(st.tuples(st.integers(0, 5), st.binary(max_size=40)), max_size=5).map(tuple)),
+    st.tuples(st.integers(0, 8), st.lists(st.binary(max_size=40), max_size=5).map(tuple)),
 )
 _any_signature = st.sampled_from([0, 79, 80, 81, 160]).flatmap(lambda n: st.binary(min_size=n, max_size=n))
 
@@ -187,14 +214,9 @@ def test_cross_signed_device_certificate_rejected(rng, stack):
     b_pk, b_sk = crypto.generate_keypair(rng)
     mcrt_b = documents.make_manufacturer_certificate("Mallory Ltd", b_pk, stack.authority_sk, rng)
     dev_pk, _ = crypto.generate_keypair(rng)
+    dev_key = bytes([dev_pk.suite_id]) + dev_pk.data
     forged = Document(
-        documents.DOC_DEVICE,
-        (
-            (documents.DEV_INFO, b"clone"),
-            (documents.DEV_PUBKEY, bytes([dev_pk.suite_id]) + dev_pk.data),
-            (documents.DEV_UUID, crypto.generate_uuid(rng)),
-            (documents.DEV_MFR_ID, stack.mcrt.field(documents.MFR_ID)),
-        ),
+        documents.DOC_DEVICE, (b"clone", dev_key, crypto.generate_uuid(rng), stack.mcrt.field(documents.MFR_ID))
     )
     forged = documents.sign(forged, b_sk)
     with pytest.raises(ChainInvalid, match="^device document names another manufacturer$"):
@@ -252,13 +274,13 @@ def test_verify_chain_rejects_wrong_order(stack):
 
 
 def test_verify_chain_rejects_unsigned_document(stack):
-    unsigned = Document(stack.mcrt.doc_type, stack.mcrt.fields)
+    unsigned = Document(stack.mcrt.doc_type, stack.mcrt.values)
     with pytest.raises(ChainInvalid, match="^manufacturer document is unsigned$"):
         documents.verify_chain([unsigned, stack.root], stack.root)
 
 
 def test_verify_chain_rejects_unsigned_root(stack):
-    unsigned = Document(stack.root.doc_type, stack.root.fields)
+    unsigned = Document(stack.root.doc_type, stack.root.values)
     with pytest.raises(ChainInvalid, match="^root does not self-verify: root document is unsigned$"):
         documents.verify_chain([unsigned], unsigned)
 
@@ -312,7 +334,7 @@ def test_a_document_carries_at_most_one_signature(stack):
     """Each document is signed once, by its issuer; a second entry is malformed wherever it comes from."""
     entry = stack.mcrt.signature
     with pytest.raises(MalformedDocument, match="^signature entry is 160 bytes, not 80$"):
-        Document(stack.mcrt.doc_type, stack.mcrt.fields, entry + entry)
+        Document(stack.mcrt.doc_type, stack.mcrt.values, entry + entry)
     # the authority signs the whole honest certificate again: a valid second entry by the same issuer
     honest = documents.encode_canonical(stack.mcrt)
     second = entry[: crypto.KEY_ID_LEN] + crypto.sign(stack.authority_sk, honest)
@@ -394,8 +416,8 @@ def test_per_type_accessors(stack, doc_type):
         with pytest.raises(MalformedDocument, match="^document carries no device uuid$"):
             documents.subject_uuid(doc)
 
-    n = len(doc.fields)
-    assert [doc.field(tag) for tag in range(1, n + 1)] == [value for _, value in doc.fields]
+    n = len(doc.values)
+    assert tuple(doc.field(tag) for tag in range(1, n + 1)) == doc.values
     for tag in (0, n + 1):
         with pytest.raises(MalformedDocument, match=f"^no field 0x{tag:02x} in {name} document$"):
             doc.field(tag)

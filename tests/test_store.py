@@ -36,10 +36,7 @@ def test_init_and_empty_lookup(stack, rng):
 
 
 def test_init_rejects_corrupted_root(stack):
-    fields = tuple(
-        (t, b"Evil Authority" if t == documents.ROOT_INFO else v) for t, v in stack.root.fields
-    )
-    corrupted = Document(stack.root.doc_type, fields, stack.root.signature)
+    corrupted = Document(stack.root.doc_type, (b"Evil Authority", *stack.root.values[1:]), stack.root.signature)
     with pytest.raises(ChainInvalid):
         Store(corrupted)
 
@@ -92,10 +89,7 @@ def test_register_rejects_kind_mismatch(stack):
 
 def test_register_rejects_tampered_document(stack):
     st = Store(stack.root)
-    fields = tuple(
-        (t, b"Shady Acme" if t == documents.MFR_INFO else v) for t, v in stack.mcrt.fields
-    )
-    tampered = Document(stack.mcrt.doc_type, fields, stack.mcrt.signature)
+    tampered = Document(stack.mcrt.doc_type, (b"Shady Acme", *stack.mcrt.values[1:]), stack.mcrt.signature)
     with pytest.raises(ChainInvalid):
         st.register("manufacturer", tampered)
 
@@ -201,14 +195,9 @@ def test_register_cross_manufacturer_device_rejected(stack, rng):
     mcrt_b = documents.make_manufacturer_certificate("B Corp", b_pk, stack.authority_sk, rng)
     st.register("manufacturer", mcrt_b)
     dev_pk, _ = crypto.generate_keypair(rng)
+    dev_key = bytes([dev_pk.suite_id]) + dev_pk.data
     forged = Document(
-        documents.DOC_DEVICE,
-        (
-            (documents.DEV_INFO, b"forged"),
-            (documents.DEV_PUBKEY, bytes([dev_pk.suite_id]) + dev_pk.data),
-            (documents.DEV_UUID, crypto.generate_uuid(rng)),
-            (documents.DEV_MFR_ID, stack.mcrt.field(documents.MFR_ID)),
-        ),
+        documents.DOC_DEVICE, (b"forged", dev_key, crypto.generate_uuid(rng), stack.mcrt.field(documents.MFR_ID))
     )
     forged = documents.sign(forged, b_sk)
     with pytest.raises((ChainInvalid, ConstraintViolation)):

@@ -11,6 +11,7 @@ from tlt.cli import main
 from tlt.errors import ScenarioError
 from tlt.netstore import StoreClient, StoreServer
 from tlt.threats import CONTROLS, SCENARIO_IDS, THREAT_CONTROL_MAP, run_all, run_scenario
+from tlt.verifier import StateCheck
 
 
 def test_all_scenarios_pass():
@@ -72,18 +73,22 @@ def test_single_scenario_run():
     assert any("bad_signature" in note for note in report.notes)
 
 
-@pytest.mark.parametrize("scenario_id", ["TA01", "CTRL"])
-def test_a_gate_that_disagrees_with_the_verdict_fails_the_scenario(monkeypatch, scenario_id):
-    """The expected state with the gate flipped (open on a threat, closed on the control) is not a pass."""
+@pytest.mark.parametrize(
+    "scenario_id, state",
+    [("TA01", StateCheck.VERIFIED_CURRENT), ("CTRL", StateCheck.UNKNOWN_STATE)],
+    ids=["TA01", "CTRL"],
+)
+def test_an_unexpected_state_fails_the_scenario_and_sets_its_gate(monkeypatch, scenario_id, state):
+    """A threat that gets verified_current fails with its gate open; a control that does not fails with it closed."""
     exchange = threats.run_exchange
 
-    def flip_gate(*args, **kwargs):
-        verdict = exchange(*args, **kwargs)
-        return dataclasses.replace(verdict, gate=not verdict.gate)
+    def swap_state(*args, **kwargs):
+        return dataclasses.replace(exchange(*args, **kwargs), state_check=state)
 
-    monkeypatch.setattr(threats, "run_exchange", flip_gate)
+    monkeypatch.setattr(threats, "run_exchange", swap_state)
     report = run_scenario(scenario_id, seed=4)
-    assert report.state_check == ("verified_current" if scenario_id == "CTRL" else "unknown_state")
+    assert report.state_check == state.value
+    assert report.gate == (state is StateCheck.VERIFIED_CURRENT)
     assert not report.passed
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from tlt import crypto, documents, transport
 from tlt.errors import NoSuchSession, ParseError
-from tlt.verifier import StateCheck, Verifier, parse_verdict_line, scan, trust_decision
+from tlt.verifier import StateCheck, TrustVerdict, Verifier, parse_verdict_line, scan, trust_decision
 
 from conftest import build_stack
 
@@ -233,6 +233,18 @@ def test_verdict_render_and_parse(stack, rng):
     assert parsed.state_check == verdict.state_check
     assert parsed.gate == verdict.gate
     assert parsed.reason == verdict.reason
+
+
+@pytest.mark.parametrize("check", list(StateCheck), ids=lambda c: c.value)
+def test_the_gate_is_open_exactly_on_verified_current(check):
+    assert TrustVerdict(b"\x00", check, "r").gate == (check is StateCheck.VERIFIED_CURRENT)
+
+
+@pytest.mark.parametrize("check", list(StateCheck), ids=lambda c: c.value)
+def test_parse_verdict_refuses_a_gate_its_state_does_not_give(check):
+    gate = "0" if check is StateCheck.VERIFIED_CURRENT else "1"
+    with pytest.raises(ParseError, match=f"^VERDICT line has gate={gate} but state={check.value}$"):
+        parse_verdict_line(f"VERDICT uuid=00 state={check.value} gate={gate} reason=x")
 
 
 def test_parse_verdict_rejects_garbage():
