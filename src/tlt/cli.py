@@ -57,12 +57,14 @@ def _store_lock(store_path):
 
 
 @contextlib.contextmanager
-def _locked_store(store_path):
-    """The store at store_path, loaded under _store_lock and persisted if the block ends normally, so no writer loses a record."""
-    with _store_lock(store_path):
-        st = store_mod.load_store(store_path)
-        yield st
-        st.persist(store_path)
+def _committing(store_path, replace=False):
+    """Yield (store, files): the store at store_path under _store_lock (None without one) and a dict for the block's
+    output files; if the block ends normally, write_files stages the files, persists the store, then places them."""
+    with _store_lock(store_path) if store_path else contextlib.nullcontext():
+        st = store_mod.load_store(store_path) if store_path else None
+        files = {}
+        yield st, files
+        documents.write_files(files, st and (lambda: st.persist(store_path)), replace)
 
 
 def _new_files(command: str, *paths: Path) -> None:
@@ -222,9 +224,8 @@ def _cmd_authority_init(args) -> int:
     root = documents.make_root_certificate(args.info, pk, sk)
     with _store_lock(store_path):
         _new_files("authority init", store_path)  # one of concurrent inits wins; the others write nothing
-        store_mod.Store(root).persist(store_path)
-    crypto.save_secret_key(sk, args.key)
-    crypto.save_public_key(pk, pub_path)
+        keys = {args.key: crypto.key_bytes(sk), pub_path: crypto.key_bytes(pk)}
+        documents.write_files(keys, lambda: store_mod.Store(root).persist(store_path))
     print(f"root={documents.doc_digest(root).hex()}")
     print(f"store={store_path}")
     return 0
@@ -237,10 +238,10 @@ def _cmd_mfr_register(args) -> int:
     authority_sk = crypto.load_secret_key(args.authority_key)
     pk, sk = crypto.generate_keypair(args.rng)
     mcrt = documents.make_manufacturer_certificate(args.info, pk, authority_sk, args.rng)
-    with _locked_store(store_path) as st:
+    with _committing(store_path) as (st, files):
         seq = st.register("manufacturer", mcrt)
-    crypto.save_secret_key(sk, args.key)
-    documents.save_document(mcrt, cert_out)
+        files[args.key] = crypto.key_bytes(sk)
+        files[cert_out] = documents.encode_canonical(mcrt)
     print(f"mfr_id={mcrt.field(documents.MFR_ID).hex()}")
     print(f"seq={seq}")
     print(f"cert={cert_out}")
@@ -253,10 +254,10 @@ def _cmd_mfr_sign_fw(args) -> int:
     mcrt = documents.load_document(args.cert)
     image = crypto.read_file(args.image)
     fw_doc = documents.sign_firmware(image, args.meta, sk, mcrt)
-    if args.store:
-        with _locked_store(args.store) as st:
+    with _committing(args.store) as (st, files):
+        if st:
             st.register("firmware", fw_doc)
-    documents.save_document(fw_doc, args.out)
+        files[args.out] = documents.encode_canonical(fw_doc)
     print(f"fw_doc={documents.doc_digest(fw_doc).hex()}")
     return 0
 
@@ -266,11 +267,11 @@ def _cmd_device_birth(args) -> int:
     _new_files("device birth", args.out, args.out.with_suffix(crypto.SECRET_KEY_EXT))
     mfr_sk = crypto.load_secret_key(args.mfr_key)
     mcrt = documents.load_document(args.mfr_cert)
-    with _locked_store(store_path) as st:
+    with _committing(store_path) as (st, files):
         dev, dcrt = device_mod.device_birth(mcrt, mfr_sk, st.root, args.info, args.rng)
         st.register("device", dcrt)
-    device_mod.save_device(dev, args.out)
-    crypto.save_secret_key(dev.secret_key, args.out.with_suffix(crypto.SECRET_KEY_EXT))
+        files[args.out.with_suffix(crypto.SECRET_KEY_EXT)] = crypto.key_bytes(dev.secret_key)  # placed before the .tltdev
+        files[args.out] = device_mod.encode_device(dev)
     print(f"uuid={dev.uuid.hex()}")
     print(f"device={args.out}")
     return 0
@@ -281,11 +282,11 @@ def _load_device(args) -> device_mod.DeviceState:
 
 
 def _record_on_device(args, dev, doc) -> int:
-    """Register doc (under _locked_store) when --store is given, then save the device and print its state."""
-    if args.store:
-        with _locked_store(args.store) as st:
+    """Register doc when --store is given and replace the device's state file, all or nothing; print its state."""
+    with _committing(args.store, replace=True) as (st, files):
+        if st:
             st.register(documents.DOC_TYPE_NAMES[doc.doc_type], doc)
-    device_mod.save_device(dev, args.device)
+        files[args.device] = device_mod.encode_device(dev)
     print(f"state={dev.compute_state_digest().hex()}")
     return 0
 
@@ -418,7 +419,7 @@ def main(argv=None) -> int:
     except TltError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:  # an output write, a closed stdout, a serve bind
+    except OSError as exc:  # a closed stdout, a serve bind
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -195,8 +195,9 @@ def read_file(path) -> bytes:
         raise FileUnreadable(exc) from None
 
 
-def save_secret_key(sk: SecretKey, path) -> None:
-    Path(path).write_bytes(bytes([sk.suite_id]) + sk.data)
+def key_bytes(key: PublicKey | SecretKey) -> bytes:
+    """The content of a `.tltkey` or `.tltpub` file."""
+    return bytes([key.suite_id]) + key.data
 
 
 def load_secret_key(path) -> SecretKey:
@@ -204,8 +205,3 @@ def load_secret_key(path) -> SecretKey:
     if len(raw) != 1 + SECRET_KEY_LEN:
         raise InvalidKey(f"bad secret key file length {len(raw)}")
     return SecretKey(raw[0], raw[1:])
-
-
-def save_public_key(pk: PublicKey, path) -> None:
-    Path(path).write_bytes(bytes([pk.suite_id]) + pk.data)
-

@@ -8,7 +8,7 @@ the central store. The boot status is never stored: simulate_boot derives it
 from the rest of the state.
 
 Device state persists to `.tltdev` files (binary, documented in
-save_device); the secret key is written separately as a `.tltkey` file and
+encode_device); the secret key is written separately as a `.tltkey` file and
 never appears in the state file. Loading a file boots the device, so a
 tampered file that still parses (a document in it must be well-formed) loads
 as INTEGRITY_FAILED and the device refuses to attest.
@@ -187,8 +187,8 @@ def device_birth(
 # Persistence
 # ---------------------------------------------------------------------------
 
-def save_device(dev: DeviceState, path) -> None:
-    """Replace the `.tltdev` state file atomically (everything except the secret key).
+def encode_device(dev: DeviceState) -> bytes:
+    """The `.tltdev` state file's content (everything except the secret key).
 
     Layout: magic(4) version(1) uuid(16) suite(1) pubkey(32) cert_digest(32),
     root as len(4)+bytes, digest count(4) + strictly ascending 32-byte digests,
@@ -209,7 +209,7 @@ def save_device(dev: DeviceState, path) -> None:
         out.append(doc is not None)
         if doc is not None:
             out += documents.prefixed(documents.encode_canonical(doc))
-    documents.replace_file(path, out)
+    return bytes(out)
 
 
 def load_device(path, key_path=None, rng=None) -> DeviceState:

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from . import crypto
 from .crypto import DIGEST_LEN, UUID_LEN, PublicKey, SecretKey
-from .errors import ChainInvalid, ConstraintViolation, InvalidKey, MalformedDocument
+from .errors import ChainInvalid, ConstraintViolation, FileUnwritable, InvalidKey, MalformedDocument
 
 DOC_ROOT = 0x01
 DOC_MANUFACTURER = 0x02
@@ -250,30 +250,34 @@ def doc_digest(doc: Document) -> bytes:
     return crypto.digest(encode_canonical(doc))
 
 
-def save_document(doc: Document, path) -> None:
-    Path(path).write_bytes(encode_canonical(doc))
-
-
 def load_document(path) -> Document:
     return decode(crypto.read_file(path))
 
 
-def replace_file(path, data: bytes) -> None:
-    """Write data as the whole of path, atomically: a reader sees the old file or the new one.
-
-    The bytes go to a sibling temp file, which is flushed and fsynced and then
-    renamed over path; a failed write removes it and leaves path as it was.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+def write_files(files: dict, commit=None, replace: bool = False) -> None:
+    """The one file writer: stage each path's bytes in an owner-only sibling temp file (fsynced), run commit(), then
+    place each file: os.replace if replace is set, else os.link, which never replaces a file. A failure before or
+    during commit() leaves every path as it was, and an OSError is a FileUnwritable naming the output path."""
+    staged = {}
     try:
-        with open(tmp, "wb") as f:
-            f.write(data)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
+        for path, data in files.items():
+            tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+            tmp.unlink(missing_ok=True)  # left by a killed writer with this pid
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+            staged[path] = tmp
+            with open(fd, "wb") as f:
+                f.write(data)
+                f.flush()
+                os.fsync(f.fileno())
+        if commit is not None:
+            commit()
+        for path, tmp in staged.items():
+            (os.replace if replace else os.link)(tmp, path)
+    except OSError as exc:
+        raise FileUnwritable(f"{path}: {exc.strerror}") from exc
     finally:
-        tmp.unlink(missing_ok=True)  # already gone after the rename
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)  # already gone after a replace
 
 
 # ---------------------------------------------------------------------------

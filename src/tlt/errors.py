@@ -59,6 +59,10 @@ class FileUnreadable(TltError):
     """An input file (store log, document, device state, key, image or payload) cannot be read."""
 
 
+class FileUnwritable(TltError):
+    """An output file (store log, document, device state or key) cannot be written."""
+
+
 class StoreUnavailable(TltError):
     """A served store could not be reached, or its connection failed or timed out."""
 

@@ -23,7 +23,7 @@ the log one line at a time, replaying and revalidating each record as it is
 read, and aborts with CorruptLog naming the offending sequence number
 (FileUnreadable if the log cannot be opened); it never holds the whole log
 text. Store.persist rewrites the whole file atomically: a sibling temp file
-renamed over the old log (documents.replace_file), so a concurrent load sees
+renamed over the old log (documents.write_files), so a concurrent load sees
 the old log or the new one, never a torn one. CLI writers serialize on a lock
 across load, register and persist, so none loses another's record.
 """
@@ -170,11 +170,11 @@ class Store:
     # -- persistence -------------------------------------------------------
 
     def persist(self, path) -> None:
-        lines = [
-            f"{documents.DOC_TYPE_NAMES[doc.doc_type]} {seq} {documents.encode_canonical(doc).hex()}"
+        log = "".join(
+            f"{documents.DOC_TYPE_NAMES[doc.doc_type]} {seq} {documents.encode_canonical(doc).hex()}\n"
             for seq, doc in enumerate(self.records)
-        ]
-        documents.replace_file(path, ("\n".join(lines) + "\n").encode())
+        )
+        documents.write_files({path: log.encode()}, replace=True)
 
 
 def load_store(path) -> Store:

@@ -65,6 +65,8 @@ def parse_verdict_line(line: str) -> TrustVerdict:
         verdict = TrustVerdict(bytes.fromhex(fields["uuid"]), StateCheck(fields["state"]), fields["reason"])
     except ValueError as exc:
         raise ParseError(f"bad VERDICT line: {exc}") from None
+    if len(verdict.uuid) != crypto.UUID_LEN or verdict.uuid.hex() != fields["uuid"]:  # as render writes it
+        raise ParseError(f"VERDICT uuid must be {2 * crypto.UUID_LEN} lower-case hex digits")
     if fields["gate"] != f"{verdict.gate:d}":
         raise ParseError(f"VERDICT line has gate={fields['gate']} but state={fields['state']}")
     return verdict
@@ -167,9 +169,9 @@ def run_exchange(store_view, device: DeviceState, rng, respond=None) -> TrustVer
 
 
 def trust_decision(verdict: TrustVerdict, auto_accept: bool, prompt=None) -> bool:
-    """Final accept/reject. A closed gate is never overridable by the user."""
-    if auto_accept:
+    """Final accept/reject. A closed gate is never overridable by the user, so it is not asked."""
+    if auto_accept or not verdict.gate:
         return verdict.gate
     ask = prompt if prompt is not None else input
     answer = ask(f"{verdict.render()}\naccept interaction? [y/N] ").strip().lower()
-    return verdict.gate and answer in ("y", "yes")
+    return answer in ("y", "yes")

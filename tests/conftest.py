@@ -8,7 +8,7 @@ import pytest
 from hypothesis import settings
 
 from tlt import crypto, documents
-from tlt.device import DeviceState, device_birth
+from tlt.device import DeviceState, device_birth, encode_device
 from tlt.store import Store
 
 # Every property test draws the same examples on every run, so a failure
@@ -21,6 +21,12 @@ def subprocess_env() -> dict:
     """This environment with the repository's src first on PYTHONPATH, for a child `python` that imports tlt."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def write_device(dev: DeviceState, path: Path) -> None:
+    """dev's `.tltdev` file at path and its secret key beside it, as `tlt device birth` writes them."""
+    key = path.with_suffix(crypto.SECRET_KEY_EXT)
+    documents.write_files({key: crypto.key_bytes(dev.secret_key), path: encode_device(dev)}, replace=True)
 
 
 @dataclass

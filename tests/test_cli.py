@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
+import os
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -128,8 +131,20 @@ def test_verify_decide(workspace, capsys, monkeypatch):
     assert main(["verify", "decide", "--line", verdict_line]) == 0
 
 
+def test_decide_does_not_ask_about_a_closed_gate(workspace, capsys, monkeypatch):
+    """`echo y | tlt verify decide --line <closed verdict>` prints REJECT without the accept prompt."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO("y\n"))
+    assert main(["verify", "decide", "--line", f"VERDICT uuid={_UUID} state=unknown_state gate=0 reason=x"]) == 1
+    assert capsys.readouterr().out == "REJECT\n"
+    assert sys.stdin.read() == "y\n"  # not read
+
+
+_UUID = "2f1c9a4e7b3d4c51a8e06d9f1b2c3a47"  # as TrustVerdict.render writes one
+_OPEN_VERDICT = f"VERDICT uuid={_UUID} state=verified_current gate=1 reason=ok"
+
+
 @pytest.mark.parametrize("argv, code", [
-    (["verify", "decide", "--line", "VERDICT uuid=00 state=verified_current gate=1 reason=ok"], 1),
+    (["verify", "decide", "--line", _OPEN_VERDICT], 1),
     (["verify", "challenge", "--store", "s.tltlog", "--device", "dev.tltdev"], 0),
 ], ids=["decide", "challenge"])
 def test_end_of_stdin_at_the_accept_prompt_reads_as_no(workspace, capsys, monkeypatch, argv, code):
@@ -203,6 +218,126 @@ def test_sign_fw_of_a_registered_firmware_writes_no_file(workspace, capsys):
     assert capsys.readouterr().err == "ConstraintViolation: firmware already registered\n"
     assert (workspace / "s.tltlog").read_bytes() == before
     assert not (workspace / "again.tltdoc").exists()
+
+
+# ---------------------------------------------------------------------------
+# All-or-nothing writes
+# ---------------------------------------------------------------------------
+
+def _files(ws) -> dict:
+    return {p.name: p.read_bytes() for p in ws.iterdir()}
+
+
+def test_an_unwritable_output_leaves_the_store_as_it_was(workspace, capsys):
+    assert main(["authority", "init", "--store", "s.tltlog", "--key", "a.tltkey"]) == 0
+    capsys.readouterr()
+    before = _files(workspace)
+    assert main(["mfr", "register", "--store", "s.tltlog", "--authority-key", "a.tltkey", "--key", "m.tltkey",
+                 "--info", "acme", "--cert-out", "/proc/version.tltdoc"]) == 1
+    assert capsys.readouterr().err.startswith("FileUnwritable: /proc/version.tltdoc: ")
+    assert _files(workspace) == before  # no record, no m.tltkey, no temp file
+
+
+def test_every_output_is_owner_only(workspace, capsys):
+    umask = os.umask(0o022)
+    try:
+        _provision(workspace, capsys)
+    finally:
+        os.umask(umask)
+    written = ["s.tltlog", "authority.tltkey", "authority.tltpub", "acme.tltkey", "acme.tltdoc", "fw.tltdoc",
+               "dev.tltdev", "dev.tltkey"]
+    assert {name: stat.S_IMODE((workspace / name).stat().st_mode) for name in written} == dict.fromkeys(written, 0o600)
+
+
+class _Faults:
+    """The os module as documents.write_files sees it, whose nth write point raises OSError."""
+
+    def __init__(self, n: int):
+        self.n, self.points, self.output = n, [], None
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def _point(self, kind: str, output: str) -> None:
+        self.points.append((kind, output))
+        if len(self.points) == self.n:
+            raise OSError(errno.EIO, "injected fault")
+
+    def open(self, tmp, flags, mode):
+        self.output = os.path.basename(tmp)[1:].rsplit(".", 2)[0]  # .<name>.<pid>.tmp
+        self._point("open", self.output)
+        return os.open(tmp, flags, mode)
+
+    def open_file(self, fd, mode):  # the builtin open, for the temp file's writes
+        f = open(fd, mode)
+        write = f.write
+
+        def faulty_write(data):
+            self._point("write", self.output)
+            return write(data)
+
+        f.write = faulty_write
+        return f
+
+    def fsync(self, fd):
+        self._point("fsync", self.output)
+        os.fsync(fd)
+
+    def link(self, src, dst):
+        self._point("place", os.path.basename(dst))
+        os.link(src, dst)
+
+    def replace(self, src, dst):
+        self._point("place", os.path.basename(dst))
+        os.replace(src, dst)
+
+
+_INSTALL = ["device", "install", "--store", "s.tltlog", "--device", "dev.tltdev", "--fw", "fw.tltdoc",
+            "--image", "fw.bin", "--mfr-cert", "acme.tltdoc", "--instinfo", "slot=1"]
+_WRITES = {
+    "authority-init": ["authority", "init", "--store", "t.tltlog", "--key", "t.tltkey"],
+    "mfr-register": _REGISTER + ["--key", "new.tltkey"],
+    "mfr-sign-fw": _SIGN_FW + ["--out", "new.tltdoc"],
+    "device-birth": _BIRTH + ["--out", "new.tltdev"],
+    "device-install": _INSTALL,
+    "device-configure": ["device", "configure", "--store", "s.tltlog", "--device", "dev.tltdev",
+                         "--config", "cfg.json", "--seq", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_WRITES.values()), ids=list(_WRITES))
+def test_a_failed_write_leaves_the_files_before_or_after(workspace, capsys, monkeypatch, argv):
+    """Each write point of the command raises OSError in turn (each temp file's open, write and fsync, the store's
+    commit, each placement). At or before the commit every file is as it was; after it, the store and the files
+    placed so far are the new ones. Either way the command exits 1 and names the file it did not write."""
+    _provision(workspace, capsys)
+    argv = ["--seed", "7", *argv]  # each run draws the same keys, so writes the same bytes
+    log = argv[argv.index("--store") + 1]
+    before = _files(workspace)
+    assert main(argv) == 0
+    capsys.readouterr()
+    after = _files(workspace)
+    outputs = [name for name in after if after[name] != before.get(name) and name != log]
+    committed = []
+    for n in range(1, 100):
+        for name in set(_files(workspace)) - set(before):
+            (workspace / name).unlink()
+        for name, data in before.items():
+            (workspace / name).write_bytes(data)
+        faults = _Faults(n)
+        with monkeypatch.context() as m:
+            m.setattr(documents, "os", faults)
+            m.setattr(documents, "open", faults.open_file, raising=False)
+            code = main(argv)
+        out, err = capsys.readouterr()
+        if len(faults.points) < n:
+            break
+        placed = [name for kind, name in faults.points[:-1] if kind == "place"]
+        assert (code, out, err) == (1, "", f"FileUnwritable: {faults.points[-1][1]}: injected fault\n")
+        assert _files(workspace) == {**before, **{name: after[name] for name in placed}}
+        committed.append(log in placed)
+    assert (code, _files(workspace)) == (0, after)  # the first run with no fault left
+    assert committed == [False] * (3 * len(outputs) + 4) + [True] * len(outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +507,9 @@ _NOT_UTF8 = "\udcff"  # how argv decodes the byte 0xff
 @pytest.mark.parametrize("argv, code, err", [
     (["verify", "decide", "--line", "garbage"], 1, "ParseError: not a VERDICT line\n"),
     (["verify", "decide"], 1, "ParseError: stdin is not utf-8\n"),
-    (["verify", "decide", "--line", "VERDICT uuid=00 state=verified_current gate=1 reason=ok"], 1,
+    (["verify", "decide", "--line", _OPEN_VERDICT], 1,
      "ParseError: stdin is not utf-8\n"),  # the accept prompt reads stdin
-    (["verify", "decide", "--auto-accept", "--line", "VERDICT uuid=00 state=unknown_state gate=1 reason=x"], 1,
+    (["verify", "decide", "--auto-accept", "--line", f"VERDICT uuid={_UUID} state=unknown_state gate=1 reason=x"], 1,
      "ParseError: VERDICT line has gate=1 but state=unknown_state\n"),  # the gate follows the state
     (["device", "respond", "--device", "dev.tltdev", "--challenge", "zz"], 2,
      "UsageError: argument --challenge: not hex: 'zz'\n"),

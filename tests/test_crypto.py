@@ -229,10 +229,9 @@ def test_nonce_length(rng):
 
 def test_key_file_round_trip(tmp_path, rng):
     pk, sk = crypto.generate_keypair(rng)
-    crypto.save_secret_key(sk, tmp_path / "a.tltkey")
-    crypto.save_public_key(pk, tmp_path / "a.tltpub")
+    (tmp_path / "a.tltkey").write_bytes(crypto.key_bytes(sk))
     assert crypto.load_secret_key(tmp_path / "a.tltkey") == sk
-    assert (tmp_path / "a.tltpub").read_bytes() == bytes([pk.suite_id]) + pk.data
+    assert crypto.key_bytes(pk) == bytes([pk.suite_id]) + pk.data
 
 
 def test_key_file_rejects_bad_length(tmp_path):

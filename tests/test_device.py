@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from tlt import crypto, documents, transport
-from tlt.device import BootStatus, device_birth, load_device, save_device
+from tlt.device import BootStatus, device_birth, encode_device, load_device
 from tlt.documents import Document
 from tlt.errors import (
     ChainInvalid,
@@ -17,6 +17,8 @@ from tlt.errors import (
     StaleSequence,
     TltError,
 )
+
+from conftest import write_device
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +327,8 @@ def test_simulate_boot_unprogrammed(rng, stack):
 # ---------------------------------------------------------------------------
 
 def _save_and_load(dev, tmp_path):
-    path = tmp_path / "dev.tltdev"
-    save_device(dev, path)
-    crypto.save_secret_key(dev.secret_key, tmp_path / "dev.tltkey")
-    return load_device(path)
+    write_device(dev, tmp_path / "dev.tltdev")
+    return load_device(tmp_path / "dev.tltdev")
 
 
 def test_device_file_round_trip(tmp_path, stack, rng):
@@ -410,24 +410,21 @@ def test_device_file_has_one_encoding_per_state(tmp_path, stack, case):
 
 
 def test_device_file_excludes_secret_key(tmp_path, stack):
-    path = tmp_path / "dev.tltdev"
-    save_device(stack.dev, path)
-    assert stack.dev.secret_key.data not in path.read_bytes()
+    assert stack.dev.secret_key.data not in encode_device(stack.dev)
 
 
 def test_load_device_rejects_mismatched_key(tmp_path, stack, rng):
     path = tmp_path / "dev.tltdev"
-    save_device(stack.dev, path)
+    path.write_bytes(encode_device(stack.dev))
     _, other_sk = crypto.generate_keypair(rng)
-    crypto.save_secret_key(other_sk, tmp_path / "dev.tltkey")
+    (tmp_path / "dev.tltkey").write_bytes(crypto.key_bytes(other_sk))
     with pytest.raises(InvalidKey):
         load_device(path)
 
 
 def test_load_device_rejects_truncation(tmp_path, stack):
     path = tmp_path / "dev.tltdev"
-    save_device(stack.dev, path)
-    crypto.save_secret_key(stack.dev.secret_key, tmp_path / "dev.tltkey")
+    write_device(stack.dev, path)
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 3])
     with pytest.raises(MalformedDocument):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from tlt import crypto, documents
 from tlt.device import device_birth
 from tlt.documents import Document
-from tlt.errors import ChainInvalid, ConstraintViolation, InvalidKey, MalformedDocument
+from tlt.errors import ChainInvalid, ConstraintViolation, FileUnwritable, InvalidKey, MalformedDocument
 from tlt.store import Store
 
 
@@ -483,6 +484,21 @@ def test_configuration_seq_bounds(stack):
 
 def test_document_file_round_trip(tmp_path, stack):
     path = tmp_path / "mcrt.tltdoc"
-    documents.save_document(stack.mcrt, path)
-    assert path.read_bytes() == documents.encode_canonical(stack.mcrt)
+    documents.write_files({path: documents.encode_canonical(stack.mcrt)})
     assert documents.load_document(path) == stack.mcrt
+
+
+def test_write_files_never_replaces_a_file_that_appeared_meanwhile(tmp_path):
+    path = tmp_path / "out.tltdoc"
+    with pytest.raises(FileUnwritable, match=f"^{path}: File exists$"):
+        documents.write_files({path: b"ours"}, commit=lambda: path.write_bytes(b"theirs"))
+    assert path.read_bytes() == b"theirs"
+    assert os.listdir(tmp_path) == ["out.tltdoc"]  # no temp file left
+
+
+def test_write_files_outlives_a_temp_file_left_by_a_killed_writer(tmp_path):
+    path = tmp_path / "s.tltlog"
+    (tmp_path / f".s.tltlog.{os.getpid()}.tmp").write_bytes(b"a killed writer with this pid left it")
+    documents.write_files({path: b"log"}, replace=True)
+    assert os.listdir(tmp_path) == ["s.tltlog"]
+    assert path.read_bytes() == b"log"

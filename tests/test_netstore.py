@@ -17,7 +17,7 @@ from tlt.errors import NotFound, ParseError, StoreUnavailable, TltError
 from tlt.netstore import StoreClient, StoreServer, handle_request_line
 from tlt.verifier import StateCheck, Verifier
 
-from conftest import subprocess_env
+from conftest import subprocess_env, write_device
 
 
 def _raw_query(addr, line: str) -> str:
@@ -515,8 +515,7 @@ def test_dev_payload_must_be_a_device_certificate_and_its_issuer(stack, certific
 
 def test_cli_reports_malformed_dev_answer(stack, tmp_path):
     """`verify challenge --connect` against a server that answers DEV with the root twice."""
-    device.save_device(stack.dev, tmp_path / "dev.tltdev")
-    crypto.save_secret_key(stack.dev.secret_key, tmp_path / ("dev" + crypto.SECRET_KEY_EXT))
+    write_device(stack.dev, tmp_path / "dev.tltdev")
     reply = b"OK " + _dev_payload(stack.root, stack.root).hex().encode() + b"\n"
     with _stand_in(reply) as (host, port):
         proc = subprocess.run(
@@ -532,8 +531,7 @@ def test_cli_reports_malformed_dev_answer(stack, tmp_path):
 
 def test_cli_reports_an_unreachable_store(stack, tmp_path):
     """`verify challenge --connect` to a port nobody listens on is a StoreUnavailable, exit 1."""
-    device.save_device(stack.dev, tmp_path / "dev.tltdev")
-    crypto.save_secret_key(stack.dev.secret_key, tmp_path / ("dev" + crypto.SECRET_KEY_EXT))
+    write_device(stack.dev, tmp_path / "dev.tltdev")
     with socket.socket() as probe:  # bound, then closed: the port is free and refuses connections
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]

@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 from tlt import crypto, documents
-from tlt.device import device_birth, load_device, save_device
+from tlt.device import device_birth, load_device
 from tlt.documents import Document
 from tlt.errors import (
     ChainInvalid,
@@ -22,7 +22,7 @@ from tlt.errors import (
 )
 from tlt.store import Store, load_store
 
-from conftest import build_stack, subprocess_env
+from conftest import build_stack, subprocess_env, write_device
 
 
 # ---------------------------------------------------------------------------
@@ -538,20 +538,23 @@ def test_load_streams_the_log(tmp_path, stack):
 # Rewrites `source`'s store or device state over `target` with writes past `limit` bytes refused.
 _CUT_SHORT = """
 import errno, resource, signal, sys
-from tlt import device, store
+from tlt import device, documents, errors, store
 writer, source, target, limit = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
 state = store.load_store(source) if writer == "persist" else device.load_device(source)
 signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past the limit fails with EFBIG instead
 resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
 try:
-    state.persist(target) if writer == "persist" else device.save_device(state, target)
-except OSError as exc:
-    print(errno.errorcode[exc.errno])
+    if writer == "persist":
+        state.persist(target)
+    else:
+        documents.write_files({target: device.encode_device(state)}, replace=True)  # as `tlt device configure` does
+except errors.FileUnwritable as exc:
+    print(errno.errorcode[exc.__cause__.errno])
 """
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs POSIX file size limits")
-@pytest.mark.parametrize("writer", ["persist", "save_device"])
+@pytest.mark.parametrize("writer", ["persist", "tltdev"])
 def test_a_rewrite_cut_short_leaves_the_previous_file(tmp_path, stack, writer):
     """A store log or device state file whose rewrite fails partway is still the old file, and loads."""
     if writer == "persist":
@@ -561,11 +564,9 @@ def test_a_rewrite_cut_short_leaves_the_previous_file(tmp_path, stack, writer):
         stack.store.persist(new)
     else:
         old, new, load = tmp_path / "d.tltdev", tmp_path / "next.tltdev", load_device
-        for path in (old, new):
-            crypto.save_secret_key(stack.dev.secret_key, path.with_suffix(crypto.SECRET_KEY_EXT))
-        save_device(stack.dev, old)
+        write_device(stack.dev, old)
         stack.dev.apply_configuration(b"cfg", 1)
-        save_device(stack.dev, new)
+        write_device(stack.dev, new)
     before, files = old.read_bytes(), sorted(os.listdir(tmp_path))
     limit = new.stat().st_size // 2
     child = subprocess.run(

@@ -8,6 +8,8 @@ from tlt.verifier import StateCheck, TrustVerdict, Verifier, parse_verdict_line,
 
 from conftest import build_stack
 
+_UUID = "2f1c9a4e7b3d4c51a8e06d9f1b2c3a47"  # as TrustVerdict.render writes one
+
 
 def _attest(stack, verifier: Verifier, dev=None, response=None):
     """Challenge a device and judge its (possibly overridden) response."""
@@ -214,6 +216,16 @@ def test_trust_decision_interactive_cannot_override_gate(stack, rng):
     assert not trust_decision(verdict, auto_accept=False, prompt=lambda _: "yes")
 
 
+def test_trust_decision_does_not_ask_on_a_closed_gate(stack, rng):
+    stack.dev.apply_configuration(b"drift", 1)
+    verdict = _attest(stack, Verifier(rng))
+
+    def no_prompt(_question):
+        raise AssertionError("asked about a closed gate")
+
+    assert not trust_decision(verdict, auto_accept=False, prompt=no_prompt)
+
+
 def test_trust_decision_interactive_choices(stack, rng):
     verdict = _attest(stack, Verifier(rng))
     assert verdict.gate
@@ -244,16 +256,24 @@ def test_the_gate_is_open_exactly_on_verified_current(check):
 def test_parse_verdict_refuses_a_gate_its_state_does_not_give(check):
     gate = "0" if check is StateCheck.VERIFIED_CURRENT else "1"
     with pytest.raises(ParseError, match=f"^VERDICT line has gate={gate} but state={check.value}$"):
-        parse_verdict_line(f"VERDICT uuid=00 state={check.value} gate={gate} reason=x")
+        parse_verdict_line(f"VERDICT uuid={_UUID} state={check.value} gate={gate} reason=x")
 
 
 def test_parse_verdict_rejects_garbage():
     for line in (
         "nonsense line",
         "VERDICT a=1 b=2 c=3 d=4",
-        "VERDICT uuid=00 state gate=1 reason=ok",  # a field without '='
+        f"VERDICT uuid={_UUID} state gate=1 reason=ok",  # a field without '='
         "VERDICT uuid=zz state=verified_current gate=1 reason=ok",
-        "VERDICT uuid=00 state=trusted gate=1 reason=ok",
+        f"VERDICT uuid={_UUID} state=trusted gate=1 reason=ok",
     ):
         with pytest.raises(ParseError):
             parse_verdict_line(line)
+
+
+@pytest.mark.parametrize("uuid", ["00", _UUID[:-2], _UUID + "00", _UUID.upper(), f"{_UUID[:8]}\t{_UUID[8:]}"],
+                         ids=["1-byte", "15-byte", "17-byte", "upper-case", "with-a-tab"])
+def test_parse_verdict_accepts_only_a_rendered_uuid(uuid):
+    with pytest.raises(ParseError, match="^VERDICT uuid must be 32 lower-case hex digits$"):
+        parse_verdict_line(f"VERDICT uuid={uuid} state=verified_current gate=1 reason=ok")
+    assert parse_verdict_line(f"VERDICT uuid={_UUID} state=verified_current gate=1 reason=ok").uuid.hex() == _UUID
