@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import fcntl
 import os
 import sys
 import threading
@@ -19,7 +18,7 @@ from . import crypto, documents, netstore, threats, transport
 from . import device as device_mod
 from . import store as store_mod
 from . import verifier as verifier_mod
-from .errors import FileUnreadable, MissingFragment, ParseError, TltError, UsageError
+from .errors import FileUnwritable, MissingFragment, ParseError, StoreUnavailable, TltError, UsageError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,28 +42,14 @@ def _need_store(args) -> Path:
 
 
 @contextlib.contextmanager
-def _store_lock(store_path):
-    """An exclusive lock for CLI writers of the store at store_path; persist replaces the log, so it locks the directory."""
-    try:
-        fd = os.open(Path(store_path).parent, os.O_RDONLY)
-    except OSError as exc:
-        raise FileUnreadable(exc) from None
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        yield
-    finally:
-        os.close(fd)  # releases the lock
-
-
-@contextlib.contextmanager
-def _committing(store_path, replace=False):
-    """Yield (store, files): the store at store_path under _store_lock (None without one) and a dict for the block's
-    output files; if the block ends normally, write_files stages the files, persists the store, then places them."""
-    with _store_lock(store_path) if store_path else contextlib.nullcontext():
+def _committing(store_path, replace=()):
+    """Yield (store, files): the store at store_path, locked (None without a path), and a dict for the block's new
+    files and those in replace; if the block ends normally, one staged write places them, with a store its log first."""
+    with store_mod.locked(store_path) if store_path else contextlib.nullcontext():
         st = store_mod.load_store(store_path) if store_path else None
         files = {}
         yield st, files
-        documents.write_files(files, st and (lambda: st.persist(store_path)), replace)
+        st.persist(store_path, files, replace) if st else documents.write_files(files, replace)
 
 
 def _new_files(command: str, *paths: Path) -> None:
@@ -222,10 +207,9 @@ def _cmd_authority_init(args) -> int:
     _new_files("authority init", store_path, args.key, pub_path)
     pk, sk = crypto.generate_keypair(args.rng)
     root = documents.make_root_certificate(args.info, pk, sk)
-    with _store_lock(store_path):
+    with store_mod.locked(store_path):
         _new_files("authority init", store_path)  # one of concurrent inits wins; the others write nothing
-        keys = {args.key: crypto.key_bytes(sk), pub_path: crypto.key_bytes(pk)}
-        documents.write_files(keys, lambda: store_mod.Store(root).persist(store_path))
+        store_mod.Store(root).persist(store_path, {args.key: crypto.key_bytes(sk), pub_path: crypto.key_bytes(pk)})
     print(f"root={documents.doc_digest(root).hex()}")
     print(f"store={store_path}")
     return 0
@@ -283,7 +267,7 @@ def _load_device(args) -> device_mod.DeviceState:
 
 def _record_on_device(args, dev, doc) -> int:
     """Register doc when --store is given and replace the device's state file, all or nothing; print its state."""
-    with _committing(args.store, replace=True) as (st, files):
+    with _committing(args.store, replace={args.device}) as (st, files):
         if st:
             st.register(documents.DOC_TYPE_NAMES[doc.doc_type], doc)
         files[args.device] = device_mod.encode_device(dev)
@@ -325,7 +309,11 @@ def _cmd_device_respond(args) -> int:
 
 def _cmd_store_serve(args) -> int:
     st = store_mod.load_store(_need_store(args))
-    with netstore.StoreServer(st, args.host, args.port) as server, contextlib.suppress(KeyboardInterrupt):
+    try:
+        server = netstore.StoreServer(st, args.host, args.port)
+    except OSError as exc:  # the port is taken, or the host is not ours
+        raise StoreUnavailable(f"serve on {args.host}:{args.port}: {exc}") from None
+    with server, contextlib.suppress(KeyboardInterrupt):
         host, port = server.address
         print(f"serving {args.store} on {host}:{port}", flush=True)
         threading.Event().wait()  # the main thread only waits for Ctrl-C; stop() runs on the way out
@@ -410,7 +398,13 @@ def main(argv=None) -> int:
             transport.set_frame_trace(
                 lambda direction, data: print(f"FRAME {direction} {data.hex()}", file=sys.stderr)
             )
-        return args.run(args)
+        try:
+            code = args.run(args)
+            sys.stdout.flush()  # so a closed stdout fails here, not at exit
+        except BrokenPipeError as exc:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # what is left buffered goes nowhere
+            raise FileUnwritable(f"<stdout>: {exc.strerror}") from None
+        return code
     except UsageError as exc:
         print(f"UsageError: {exc}", file=sys.stderr)
         return 2
@@ -419,7 +413,7 @@ def main(argv=None) -> int:
     except TltError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:  # a closed stdout, a serve bind
+    except OSError as exc:  # not yet mapped to a TltError, such as a full stdout
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     finally:

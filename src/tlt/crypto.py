@@ -47,18 +47,6 @@ PUBLIC_KEY_EXT = ".tltpub"
 # Randomness sources
 # ---------------------------------------------------------------------------
 
-class SystemRandomSource:
-    """Cryptographically secure randomness; safe for concurrent use."""
-
-    def bytes(self, n: int) -> bytes:
-        if n < 0:
-            raise ValueError("byte count must be non-negative")
-        try:
-            return os.urandom(n)
-        except Exception as exc:  # pragma: no cover - OS entropy failure
-            raise EntropyUnavailable(str(exc)) from exc
-
-
 class SeededRandomSource:
     """Deterministic randomness for reproducible runs. Not secure."""
 
@@ -71,12 +59,14 @@ class SeededRandomSource:
         return self._rng.randbytes(n)
 
 
-_SYSTEM_SOURCE = SystemRandomSource()
-
-
 def random_bytes(n: int, rng=None) -> bytes:
-    """n random bytes from rng, or from the OS when rng is None."""
-    return (rng or _SYSTEM_SOURCE).bytes(n)
+    """n random bytes from rng, or from the OS when rng is None (secure, and safe for concurrent use)."""
+    if rng is not None:
+        return rng.bytes(n)
+    try:
+        return os.urandom(n)
+    except OSError as exc:  # pragma: no cover - OS entropy failure
+        raise EntropyUnavailable(str(exc)) from exc
 
 
 def new_nonce(rng=None) -> bytes:

@@ -254,10 +254,10 @@ def load_document(path) -> Document:
     return decode(crypto.read_file(path))
 
 
-def write_files(files: dict, commit=None, replace: bool = False) -> None:
-    """The one file writer: stage each path's bytes in an owner-only sibling temp file (fsynced), run commit(), then
-    place each file: os.replace if replace is set, else os.link, which never replaces a file. A failure before or
-    during commit() leaves every path as it was, and an OSError is a FileUnwritable naming the output path."""
+def write_files(files: dict, replace=()) -> None:
+    """The one file writer: stage each path's bytes in an owner-only sibling temp file (fsynced), then place each in
+    order: by os.replace if it is in replace (a file the caller read), else by os.link, which never replaces a file. A
+    failure before the first placement leaves every path as it was; an OSError is a FileUnwritable naming the path."""
     staged = {}
     try:
         for path, data in files.items():
@@ -269,10 +269,8 @@ def write_files(files: dict, commit=None, replace: bool = False) -> None:
                 f.write(data)
                 f.flush()
                 os.fsync(f.fileno())
-        if commit is not None:
-            commit()
         for path, tmp in staged.items():
-            (os.replace if replace else os.link)(tmp, path)
+            (os.replace if path in replace else os.link)(tmp, path)
     except OSError as exc:
         raise FileUnwritable(f"{path}: {exc.strerror}") from exc
     finally:

@@ -64,13 +64,13 @@ class FileUnwritable(TltError):
 
 
 class StoreUnavailable(TltError):
-    """A served store could not be reached, or its connection failed or timed out."""
+    """A store could not be served or reached, or its connection failed or timed out."""
 
 
 class CorruptLog(TltError):
     """A persisted store record failed revalidation on load."""
 
-    def __init__(self, message: str, seq: int | None = None):
+    def __init__(self, message: str, seq: int):
         super().__init__(message)
         self.seq = seq
 

@@ -26,7 +26,7 @@ def subprocess_env() -> dict:
 def write_device(dev: DeviceState, path: Path) -> None:
     """dev's `.tltdev` file at path and its secret key beside it, as `tlt device birth` writes them."""
     key = path.with_suffix(crypto.SECRET_KEY_EXT)
-    documents.write_files({key: crypto.key_bytes(dev.secret_key), path: encode_device(dev)}, replace=True)
+    documents.write_files({key: crypto.key_bytes(dev.secret_key), path: encode_device(dev)}, {key, path})
 
 
 @dataclass

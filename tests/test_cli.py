@@ -5,6 +5,7 @@ import errno
 import io
 import os
 import signal
+import socket
 import stat
 import subprocess
 import sys
@@ -13,10 +14,11 @@ import time
 import pytest
 
 from tlt import crypto, documents, netstore, transport
+from tlt import store as store_mod
 from tlt.cli import main
 from tlt.device import load_device
 from tlt.netstore import StoreClient
-from tlt.store import load_store
+from tlt.store import Store, load_store
 
 from conftest import subprocess_env
 
@@ -238,6 +240,27 @@ def test_an_unwritable_output_leaves_the_store_as_it_was(workspace, capsys):
     assert _files(workspace) == before  # no record, no m.tltkey, no temp file
 
 
+@pytest.mark.parametrize("argv, theirs", [
+    (_REGISTER + ["--key", "new.tltkey"], "new.tltkey"),
+    (_SIGN_FW + ["--out", "new.tltdoc"], "new.tltdoc"),
+    (_BIRTH + ["--out", "new.tltdev"], "new.tltdev"),
+], ids=["mfr-register", "mfr-sign-fw", "device-birth"])
+def test_an_output_that_appears_while_the_store_is_locked_is_kept(workspace, capsys, monkeypatch, argv, theirs):
+    """A concurrent writer creates an output after the command checked it and before it stages its files."""
+    _provision(workspace, capsys)
+    load = store_mod.load_store
+
+    def another_writer_creates_it(path):
+        (workspace / theirs).write_bytes(b"theirs")
+        return load(path)
+
+    monkeypatch.setattr(store_mod, "load_store", another_writer_creates_it)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"FileUnwritable: {theirs}: File exists\n"
+    assert (workspace / theirs).read_bytes() == b"theirs"
+    assert not list(workspace.glob(".*.tmp"))
+
+
 def test_every_output_is_owner_only(workspace, capsys):
     umask = os.umask(0o022)
     try:
@@ -307,9 +330,9 @@ _WRITES = {
 
 @pytest.mark.parametrize("argv", list(_WRITES.values()), ids=list(_WRITES))
 def test_a_failed_write_leaves_the_files_before_or_after(workspace, capsys, monkeypatch, argv):
-    """Each write point of the command raises OSError in turn (each temp file's open, write and fsync, the store's
-    commit, each placement). At or before the commit every file is as it was; after it, the store and the files
-    placed so far are the new ones. Either way the command exits 1 and names the file it did not write."""
+    """Each write point of the command raises OSError in turn (each temp file's open, write and fsync, then each
+    placement; placing the log is the commit). At or before the commit every file is as it was; after it, the store
+    and the files placed so far are the new ones. Either way the command exits 1 and names the file it did not write."""
     _provision(workspace, capsys)
     argv = ["--seed", "7", *argv]  # each run draws the same keys, so writes the same bytes
     log = argv[argv.index("--store") + 1]
@@ -423,6 +446,39 @@ def test_serve_exits_on_sigint_with_a_client_connected(workspace, capsys):
     assert server.returncode == 0
     assert err == b""
     assert elapsed < 2  # not IDLE_TIMEOUT
+
+
+def test_serve_on_a_busy_port_is_unavailable(workspace, capsys):
+    assert main(["authority", "init", "--store", "s.tltlog", "--key", "a.tltkey"]) == 0
+    capsys.readouterr()
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        port = held.getsockname()[1]
+        assert main(["store", "serve", "--store", "s.tltlog", "--port", str(port)]) == 1
+    busy = f"[Errno {errno.EADDRINUSE}] {os.strerror(errno.EADDRINUSE)}"
+    assert capsys.readouterr() == ("", f"StoreUnavailable: serve on 127.0.0.1:{port}: {busy}\n")
+
+
+@pytest.mark.parametrize("records", [1, 200])
+def test_a_closed_stdout_is_unwritable(workspace, stack, records):
+    """`tlt store dump` into a pipe that nobody reads, whether its output is still buffered at the end (1 record) or
+    fills the buffer first (200 records)."""
+    st = Store(stack.root) if records == 1 else stack.store
+    for seq in range(1, records - len(st.records) + 1):
+        st.register("configuration", stack.dev.apply_configuration(b"cfg %d" % seq, seq))
+    st.persist(workspace / "s.tltlog")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "tlt.cli", "store", "dump", "--store", "s.tltlog"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=subprocess_env(), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert len(load_store(workspace / "s.tltlog").records) == records
+    assert (child.returncode, child.stderr) == (1, "FileUnwritable: <stdout>: Broken pipe\n")
 
 
 # ---------------------------------------------------------------------------

@@ -488,10 +488,16 @@ def test_document_file_round_trip(tmp_path, stack):
     assert documents.load_document(path) == stack.mcrt
 
 
-def test_write_files_never_replaces_a_file_that_appeared_meanwhile(tmp_path):
-    path = tmp_path / "out.tltdoc"
+def test_write_files_never_replaces_a_file_that_appeared_meanwhile(tmp_path, monkeypatch):
+    path, fsync = tmp_path / "out.tltdoc", os.fsync
+
+    def another_writer_creates_it(fd):
+        path.write_bytes(b"theirs")
+        fsync(fd)
+
+    monkeypatch.setattr(documents.os, "fsync", another_writer_creates_it)
     with pytest.raises(FileUnwritable, match=f"^{path}: File exists$"):
-        documents.write_files({path: b"ours"}, commit=lambda: path.write_bytes(b"theirs"))
+        documents.write_files({path: b"ours"})
     assert path.read_bytes() == b"theirs"
     assert os.listdir(tmp_path) == ["out.tltdoc"]  # no temp file left
 
@@ -499,6 +505,6 @@ def test_write_files_never_replaces_a_file_that_appeared_meanwhile(tmp_path):
 def test_write_files_outlives_a_temp_file_left_by_a_killed_writer(tmp_path):
     path = tmp_path / "s.tltlog"
     (tmp_path / f".s.tltlog.{os.getpid()}.tmp").write_bytes(b"a killed writer with this pid left it")
-    documents.write_files({path: b"log"}, replace=True)
+    documents.write_files({path: b"log"})
     assert os.listdir(tmp_path) == ["s.tltlog"]
     assert path.read_bytes() == b"log"

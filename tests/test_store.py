@@ -450,6 +450,16 @@ def test_load_rejects_kind_that_does_not_name_the_document(tmp_path):
         assert exc_info.value.seq == seq, kind
 
 
+def test_load_rejects_a_log_that_does_not_begin_with_the_root(tmp_path):
+    _, _, path = _populated_store(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[0] = "manufacturer" + lines[0][lines[0].index(" ") :]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorruptLog) as exc_info:
+        load_store(path)
+    assert (exc_info.value.seq, str(exc_info.value)) == (0, "record 0: log must begin with the root")
+
+
 def test_log_cut_anywhere_in_its_last_record_fails_at_that_record(tmp_path, stack):
     """A cut inside the last line is a CorruptLog at its seq; at a line boundary the shorter store loads."""
     path = tmp_path / "s.tltlog"
@@ -547,7 +557,7 @@ try:
     if writer == "persist":
         state.persist(target)
     else:
-        documents.write_files({target: device.encode_device(state)}, replace=True)  # as `tlt device configure` does
+        documents.write_files({target: device.encode_device(state)}, {target})  # as `tlt device configure` does
 except errors.FileUnwritable as exc:
     print(errno.errorcode[exc.__cause__.errno])
 """
