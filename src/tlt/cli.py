@@ -18,7 +18,7 @@ from . import crypto, documents, netstore, threats, transport
 from . import device as device_mod
 from . import store as store_mod
 from . import verifier as verifier_mod
-from .errors import FileUnwritable, MissingFragment, ParseError, StoreUnavailable, TltError, UsageError
+from .errors import FileUnreadable, FileUnwritable, ParseError, StoreUnavailable, TltError, UsageError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,10 +55,15 @@ def _committing(store_path, replace=()):
 def _new_files(command: str, *paths: Path) -> None:
     """Refuse outputs that exist or have no directory, before anything is drawn or written."""
     for path in paths:
-        if path.exists():
+        try:
+            path.lstat()
+        except (FileNotFoundError, NotADirectoryError):
+            if not path.parent.is_dir():
+                raise UsageError(f"{path.parent} is not a directory") from None
+        except OSError as exc:  # such as a name too long
+            raise FileUnwritable(f"{path}: {exc.strerror}") from None
+        else:
             raise UsageError(f"{path} already exists; {command} never overwrites")
-        if not path.parent.is_dir():
-            raise UsageError(f"{path.parent} is not a directory")
 
 
 def _text(text: str) -> str:
@@ -298,11 +303,8 @@ def _cmd_device_advertise(args) -> int:
 def _cmd_device_respond(args) -> int:
     dev = _load_device(args)
     nonce = args.challenge
-    if len(nonce) != crypto.NONCE_LEN:
-        frame = transport.parse_data_frame(nonce)
-        if frame.frag_total != 1:
-            raise MissingFragment("a challenge frame must carry the whole challenge")
-        nonce = frame.payload
+    if len(nonce) != crypto.NONCE_LEN:  # a challenge frame, which must carry the whole challenge
+        nonce = transport.receive([nonce], transport.MSG_CHALLENGE)
     print(dev.handle_challenge(nonce).hex())
     return 0
 
@@ -367,6 +369,8 @@ def _from_stdin(read, *args) -> str:
         return ""
     except UnicodeDecodeError as exc:
         raise ParseError(f"stdin is not {exc.encoding}") from None
+    except OSError as exc:
+        raise FileUnreadable(f"<stdin>: {exc.strerror}") from None
 
 
 def _accepted(verdict, args) -> bool:
@@ -401,7 +405,7 @@ def main(argv=None) -> int:
         try:
             code = args.run(args)
             sys.stdout.flush()  # so a closed stdout fails here, not at exit
-        except BrokenPipeError as exc:
+        except OSError as exc:  # each file, stdin and socket maps its own OSError, so what is left is stdout's
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # what is left buffered goes nowhere
             raise FileUnwritable(f"<stdout>: {exc.strerror}") from None
         return code
@@ -411,9 +415,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse --help
         return exc.code or 0
     except TltError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # not yet mapped to a TltError, such as a full stdout
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     finally:

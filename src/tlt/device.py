@@ -86,7 +86,10 @@ class DeviceState:
         inst = documents.make_installation_document(fw_doc, self.uuid, instinfo, self.secret_key)
         self.verified_digests.add(fw_digest)
         self.installation = inst
-        self.boot_status = BootStatus.OPERATIONAL
+        if self.boot_status is BootStatus.INTEGRITY_FAILED:  # judged again: a bad configuration slot keeps it failed
+            self.simulate_boot()
+        else:  # this call has just checked the root and made the installation itself
+            self.boot_status = BootStatus.OPERATIONAL
         return inst
 
     def apply_configuration(self, cfg_payload: bytes, seq: int) -> Document:
@@ -127,32 +130,25 @@ class DeviceState:
         assert len(response) == RESPONSE_LEN
         return response
 
-    def simulate_boot(self) -> BootStatus:
-        """Re-run boot integrity checks over the stored state documents.
+    def _check_slot(self, doc: Document, doc_type: int) -> None:
+        """The slot rule: a slot holds a document of its type, about this device, signed by its key, or ChainInvalid."""
+        if doc.doc_type != doc_type or documents.subject_uuid(doc) != self.uuid:
+            raise ChainInvalid(f"the {documents.DOC_TYPE_NAMES[doc_type]} slot holds no document of this device")
+        documents.signatures_verify(doc, self.public_key)
 
-        A device whose trusted root no longer self-verifies, or whose
-        installation or configuration slot holds anything but a document of
-        that type about itself, signed by its own key, refuses to attest.
-        """
+    def simulate_boot(self) -> BootStatus:
+        """Re-run the boot check: the root self-verifies, each filled slot keeps the slot rule, and the installation
+        names firmware the device verified itself; otherwise the device is INTEGRITY_FAILED and refuses to attest."""
         inst = self.installation
         if inst is None:
             self.boot_status = BootStatus.UNPROGRAMMED
             return self.boot_status
         try:
             documents.verify_chain([self.trusted_root], self.trusted_root)
-            ok = (
-                inst.doc_type == documents.DOC_INSTALLATION
-                and documents.subject_uuid(inst) == self.uuid
-                and inst.field(documents.INST_FW_DOC_DIGEST) in self.verified_digests
-            )
-            if ok:
-                documents.signatures_verify(inst, self.public_key)
-                ok = self.cfg is None or (
-                    self.cfg.doc_type == documents.DOC_CONFIGURATION
-                    and documents.subject_uuid(self.cfg) == self.uuid
-                )
-            if ok and self.cfg is not None:
-                documents.signatures_verify(self.cfg, self.public_key)
+            self._check_slot(inst, documents.DOC_INSTALLATION)
+            ok = inst.field(documents.INST_FW_DOC_DIGEST) in self.verified_digests
+            if self.cfg is not None:
+                self._check_slot(self.cfg, documents.DOC_CONFIGURATION)
         except ChainInvalid:
             ok = False
         self.boot_status = BootStatus.OPERATIONAL if ok else BootStatus.INTEGRITY_FAILED

@@ -255,9 +255,10 @@ def load_document(path) -> Document:
 
 
 def write_files(files: dict, replace=()) -> None:
-    """The one file writer: stage each path's bytes in an owner-only sibling temp file (fsynced), then place each in
-    order: by os.replace if it is in replace (a file the caller read), else by os.link, which never replaces a file. A
-    failure before the first placement leaves every path as it was; an OSError is a FileUnwritable naming the path."""
+    """The one file writer: stage each path's bytes in an owner-only sibling temp file (fsynced), refuse a path not in
+    replace that exists, then place each in order: by os.replace if it is in replace (a file the caller read), else by
+    os.link, which never replaces a file (one made since the check included). A failure before the first placement
+    leaves every path as it was; an OSError is a FileUnwritable naming the path."""
     staged = {}
     try:
         for path, data in files.items():
@@ -269,6 +270,9 @@ def write_files(files: dict, replace=()) -> None:
                 f.write(data)
                 f.flush()
                 os.fsync(f.fileno())
+        for path in staged:  # such as an output another writer made while this one waited for a lock
+            if path not in replace and os.path.lexists(path):
+                raise FileUnwritable(f"{path}: File exists")
         for path, tmp in staged.items():
             (os.replace if path in replace else os.link)(tmp, path)
     except OSError as exc:

@@ -64,7 +64,7 @@ class FileUnwritable(TltError):
 
 
 class StoreUnavailable(TltError):
-    """A store could not be served or reached, or its connection failed or timed out."""
+    """A store could not be locked, served or reached, or its connection failed or timed out."""
 
 
 class CorruptLog(TltError):

@@ -21,10 +21,10 @@ match its type byte. Sequence numbers are plain decimal, start at 0 (the root)
 and increase by one per record; records are never rewritten. Loading streams
 the log one line at a time, replaying and revalidating each record as it is
 read, and aborts with CorruptLog naming the offending sequence number
-(FileUnreadable if the log cannot be opened); it never holds the whole log
-text. Store.persist writes the whole log and a command's other output files
-in one staged write (documents.write_files) that places the log first, by
-rename over the old one: a concurrent load sees the old log or the new one,
+(FileUnreadable if the log cannot be opened or read); it never holds the whole
+log text. Store.persist writes the whole log and a command's other output
+files in one staged write (documents.write_files) that places the log first,
+by rename over the old one: a concurrent load sees the old log or the new one,
 never a torn one, and placing the log commits. Writers serialize on
 locked(path) across load, register and persist, so none loses a record.
 """
@@ -41,7 +41,7 @@ from pathlib import Path
 from . import crypto, documents
 from .documents import Document
 from .errors import ConstraintViolation, CorruptLog, DuplicateUuid, FileUnreadable, MalformedDocument, NotFound
-from .errors import TltError, UnknownIssuer
+from .errors import StoreUnavailable, TltError, UnknownIssuer
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,10 @@ def locked(path):
     except OSError as exc:
         raise FileUnreadable(exc) from None
     try:
-        fcntl.flock(fd, fcntl.LOCK_EX)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+        except OSError as exc:
+            raise StoreUnavailable(f"{path}: cannot lock: {exc.strerror}") from None
         yield
     finally:
         os.close(fd)  # releases the lock
@@ -210,21 +213,20 @@ def load_store(path) -> Store:
     """Replay and revalidate a record log; CorruptLog on a refused record, a program fault propagates."""
     store: Store | None = None
     try:
-        log = open(path, "rb")
-    except OSError as exc:
+        with open(path, "rb") as log:
+            for i, line in enumerate(log):
+                try:
+                    kind, doc = _record(line, i)
+                    if i:
+                        store.register(kind, doc)
+                    elif kind == "root":
+                        store = Store(doc)
+                    else:
+                        raise ConstraintViolation("log must begin with the root")
+                except TltError as exc:
+                    raise CorruptLog(f"record {i}: {exc}", seq=i) from None
+    except OSError as exc:  # opening or reading the log
         raise FileUnreadable(exc) from None
-    with log:
-        for i, line in enumerate(log):
-            try:
-                kind, doc = _record(line, i)
-                if i:
-                    store.register(kind, doc)
-                elif kind == "root":
-                    store = Store(doc)
-                else:
-                    raise ConstraintViolation("log must begin with the root")
-            except TltError as exc:
-                raise CorruptLog(f"record {i}: {exc}", seq=i) from None
     if store is None:
         raise CorruptLog("empty store log", seq=0)
     return store

@@ -157,3 +157,12 @@ def reassemble(frames) -> tuple[int, bytes]:
     if missing:
         raise MissingFragment(f"missing fragment(s) {missing}")
     return msg_type, b"".join(by_index[i].payload for i in range(total))
+
+
+def receive(frames, msg_type: int) -> bytes:
+    """The payload of one received message: parse its encoded frames and reassemble them; ParseError unless the
+    message is of msg_type."""
+    received, payload = reassemble([parse_data_frame(f) for f in frames])
+    if received != msg_type:
+        raise ParseError(f"expected message type 0x{msg_type:02x}, got 0x{received:02x}")
+    return payload

@@ -140,11 +140,6 @@ class Verifier:
         return verdict(StateCheck.VERIFIED_CURRENT, "ok")
 
 
-def _receive(frames: list[bytes]) -> bytes:
-    """Parse received data frames and reassemble them into one payload."""
-    return transport.reassemble([transport.parse_data_frame(f) for f in frames])[1]
-
-
 def run_exchange(store_view, device: DeviceState, rng, respond=None) -> TrustVerdict:
     """One full exchange with a device.
 
@@ -161,11 +156,11 @@ def run_exchange(store_view, device: DeviceState, rng, respond=None) -> TrustVer
         view = None
 
     session, frames = user.issue_challenge(uuid)
-    challenge = _receive(frames)
+    challenge = transport.receive(frames, transport.MSG_CHALLENGE)
 
     payload = respond(challenge) if respond is not None else device.handle_challenge(challenge)
     frames = [transport.encode_data_frame(f) for f in transport.fragment(transport.MSG_RESPONSE, payload)]
-    return user.verify_response(session, _receive(frames), view, store_view)
+    return user.verify_response(session, transport.receive(frames, transport.MSG_RESPONSE), view, store_view)
 
 
 def trust_decision(verdict: TrustVerdict, auto_accept: bool, prompt=None) -> bool:

@@ -106,6 +106,22 @@ def test_respond_accepts_challenge_frame(workspace, capsys):
     assert response[32:48] == nonce
 
 
+@pytest.mark.parametrize("msg_type", [transport.MSG_RESPONSE, transport.MSG_FRAGMENT, 0x7F],
+                         ids=["response", "fragment", "unknown"])
+def test_respond_refuses_a_frame_of_another_type(workspace, capsys, msg_type):
+    _provision(workspace, capsys)
+    frame = transport.encode_data_frame(transport.fragment(msg_type, crypto.new_nonce())[0])
+    assert main(["device", "respond", "--device", "dev.tltdev", "--challenge", frame.hex()]) == 1
+    assert capsys.readouterr() == ("", f"ParseError: expected message type 0x01, got 0x{msg_type:02x}\n")
+
+
+def test_respond_refuses_one_fragment_of_a_challenge(workspace, capsys):
+    _provision(workspace, capsys)
+    first = transport.encode_data_frame(transport.fragment(transport.MSG_CHALLENGE, bytes(transport.FRAG_PAYLOAD + 1))[0])
+    assert main(["device", "respond", "--device", "dev.tltdev", "--challenge", first.hex()]) == 1
+    assert capsys.readouterr() == ("", "MissingFragment: missing fragment(s) [1]\n")
+
+
 def test_store_dump(workspace, capsys):
     _provision(workspace, capsys)
     assert main(["store", "dump", "--store", "s.tltlog"]) == 0
@@ -255,10 +271,12 @@ def test_an_output_that_appears_while_the_store_is_locked_is_kept(workspace, cap
         return load(path)
 
     monkeypatch.setattr(store_mod, "load_store", another_writer_creates_it)
+    before = _files(workspace)
     assert main(argv) == 1
     assert capsys.readouterr().err == f"FileUnwritable: {theirs}: File exists\n"
     assert (workspace / theirs).read_bytes() == b"theirs"
     assert not list(workspace.glob(".*.tmp"))
+    assert _files(workspace) == {**before, theirs: b"theirs"}  # the log too: no record without its files
 
 
 def test_every_output_is_owner_only(workspace, capsys):
@@ -479,6 +497,53 @@ def test_a_closed_stdout_is_unwritable(workspace, stack, records):
         os.close(write_end)
     assert len(load_store(workspace / "s.tltlog").records) == records
     assert (child.returncode, child.stderr) == (1, "FileUnwritable: <stdout>: Broken pipe\n")
+
+
+def test_a_full_stdout_is_unwritable(workspace, stack):
+    """`tlt store dump > /dev/full`: the flush at the end fails with ENOSPC."""
+    stack.store.persist(workspace / "s.tltlog")
+    with open("/dev/full", "w") as full:
+        child = subprocess.run(
+            [sys.executable, "-m", "tlt.cli", "store", "dump", "--store", "s.tltlog"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=subprocess_env(), timeout=60,
+        )
+    assert (child.returncode, child.stderr) == (1, f"FileUnwritable: <stdout>: {os.strerror(errno.ENOSPC)}\n")
+
+
+def test_an_output_name_too_long_is_unwritable(workspace, capsys):
+    assert main(["authority", "init", "--store", "s.tltlog", "--key", "authority.tltkey"]) == 0
+    capsys.readouterr()
+    before = _files(workspace)
+    key = "a" * 300 + ".tltkey"
+    assert main(["mfr", "register", "--store", "s.tltlog", "--authority-key", "authority.tltkey", "--key", key,
+                 "--info", "acme"]) == 1
+    assert capsys.readouterr() == ("", f"FileUnwritable: {key}: {os.strerror(errno.ENAMETOOLONG)}\n")
+    assert _files(workspace) == before
+
+
+def test_a_store_that_cannot_be_locked_is_unavailable(workspace, capsys, monkeypatch):
+    assert main(["authority", "init", "--store", "s.tltlog", "--key", "authority.tltkey"]) == 0
+    capsys.readouterr()
+    before = _files(workspace)
+
+    def no_locks(*_args):
+        raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+    monkeypatch.setattr(store_mod.fcntl, "flock", no_locks)
+    assert main(["mfr", "register", "--store", "s.tltlog", "--authority-key", "authority.tltkey", "--key", "m.tltkey",
+                 "--info", "acme"]) == 1
+    assert capsys.readouterr() == ("", f"StoreUnavailable: s.tltlog: cannot lock: {os.strerror(errno.ENOLCK)}\n")
+    assert _files(workspace) == before
+
+
+def test_a_failed_stdin_read_is_unreadable(workspace, capsys, monkeypatch):
+    class FailingStdin:
+        def readline(self):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(sys, "stdin", FailingStdin())
+    assert main(["verify", "decide"]) == 1
+    assert capsys.readouterr() == ("", f"FileUnreadable: <stdin>: {os.strerror(errno.EIO)}\n")
 
 
 # ---------------------------------------------------------------------------

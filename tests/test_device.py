@@ -153,6 +153,14 @@ def test_no_unverified_installs(rng, stack):
         assert dev.verified_digests == set()
 
 
+def test_install_rejects_a_chained_document_that_is_not_firmware(stack):
+    """A device certificate chains to the root as well as firmware does, but names no image to install."""
+    before = (stack.dev.installation, set(stack.dev.verified_digests))
+    with pytest.raises(ChainInvalid, match="not a firmware document"):
+        stack.dev.install_firmware(stack.dcrt, stack.fw_image, [stack.mcrt], "slot=1")
+    assert (stack.dev.installation, stack.dev.verified_digests) == before
+
+
 def test_reinstall_replaces_slot(stack):
     image2 = b"image two"
     fw2 = documents.sign_firmware(image2, "v2", stack.mfr_sk, stack.mcrt)
@@ -315,6 +323,29 @@ def test_simulate_boot_detects_firmware_the_device_never_verified(tmp_path, stac
     stack.dev.verified_digests = {bytes(crypto.DIGEST_LEN)}
     assert stack.dev.simulate_boot() == BootStatus.INTEGRITY_FAILED
     assert _save_and_load(stack.dev, tmp_path).boot_status == BootStatus.INTEGRITY_FAILED
+
+
+def test_an_install_keeps_a_device_with_a_foreign_configuration_failed(tmp_path, stack, rng):
+    """Installing trusted firmware does not vouch for a configuration slot signed by another key."""
+    _, foreign_sk = crypto.generate_keypair(rng)
+    stack.dev.cfg = documents.make_configuration_document(b"forged", stack.dev.uuid, 1, foreign_sk)
+    assert stack.dev.simulate_boot() == BootStatus.INTEGRITY_FAILED
+    stack.dev.install_firmware(stack.fw_doc, stack.fw_image, [stack.mcrt], "slot=1")
+    assert stack.dev.boot_status == BootStatus.INTEGRITY_FAILED
+    with pytest.raises(NotOperational):
+        stack.dev.handle_challenge(crypto.new_nonce(rng))
+    assert _save_and_load(stack.dev, tmp_path).boot_status == BootStatus.INTEGRITY_FAILED
+
+
+def test_a_good_install_repairs_a_failed_installation_slot(stack, rng):
+    """When the installation slot is the only fault, an install of trusted firmware replaces it."""
+    stack.dev.apply_configuration(b"tuned", 1)
+    _, foreign_sk = crypto.generate_keypair(rng)
+    stack.dev.installation = documents.make_installation_document(stack.fw_doc, stack.dev.uuid, "slot=0", foreign_sk)
+    assert stack.dev.simulate_boot() == BootStatus.INTEGRITY_FAILED
+    stack.dev.install_firmware(stack.fw_doc, stack.fw_image, [stack.mcrt], "slot=1")
+    assert stack.dev.boot_status == BootStatus.OPERATIONAL
+    assert stack.dev.simulate_boot() == BootStatus.OPERATIONAL
 
 
 def test_simulate_boot_unprogrammed(rng, stack):

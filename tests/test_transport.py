@@ -130,6 +130,16 @@ def test_reassemble_inconsistent_set(rng):
         transport.reassemble([frames_a[0], frames_a[0], frames_a[1], frames_a[2]])
 
 
+def test_receive_reads_only_its_message_type(rng):
+    payload = rng.bytes(600)
+    wire = [transport.encode_data_frame(f) for f in transport.fragment(transport.MSG_RESPONSE, payload)]
+    assert transport.receive(wire, transport.MSG_RESPONSE) == payload
+    with pytest.raises(ParseError, match="expected message type 0x01, got 0x02"):
+        transport.receive(wire, transport.MSG_CHALLENGE)
+    with pytest.raises(MissingFragment):
+        transport.receive(wire[1:], transport.MSG_RESPONSE)
+
+
 # ---------------------------------------------------------------------------
 # Data frame codec edges
 # ---------------------------------------------------------------------------
