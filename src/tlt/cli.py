@@ -276,7 +276,8 @@ def _record_on_device(args, dev, doc) -> int:
         if st:
             st.register(documents.DOC_TYPE_NAMES[doc.doc_type], doc)
         files[args.device] = device_mod.encode_device(dev)
-    print(f"state={dev.compute_state_digest().hex()}")
+        state = dev.compute_state_digest()  # NotOperational for a failed device, before anything is written
+    print(f"state={state.hex()}")
     return 0
 
 

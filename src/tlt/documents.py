@@ -74,7 +74,6 @@ CFG_SEQ = 0x03
 MFR_ID_LEN = 16
 SIG_ENTRY_LEN = crypto.KEY_ID_LEN + crypto.SIGNATURE_LEN  # signer_hint || signature
 _PK_FIELD_LEN = 1 + crypto.PUBLIC_KEY_LEN
-_U32 = struct.Struct(">I")
 _FIELD_HEADER = struct.Struct(">BI")  # tag, value length
 
 
@@ -153,7 +152,7 @@ def prefixed(value: bytes) -> bytes:
 
 
 class Reader:
-    """Bounds-checked cursor over untrusted bytes; any misread raises MalformedDocument."""
+    """Cursor over untrusted bytes; each read goes through take, the one bounds check (MalformedDocument)."""
 
     __slots__ = ("_data", "_pos")
 
@@ -170,25 +169,13 @@ class Reader:
         return self._data[start:end]
 
     def u8(self) -> int:
-        pos = self._pos
-        if pos >= len(self._data):
-            raise MalformedDocument(f"truncated: 1 byte wanted at offset {pos}")
-        self._pos = pos + 1
-        return self._data[pos]
+        return self.take(1)[0]
 
     def u32(self) -> int:
         return int.from_bytes(self.take(4), "big")
 
     def prefixed(self) -> bytes:
-        # Checks bounds itself, as u8 does, since decode calls both once per field.
-        data, pos = self._data, self._pos
-        end = pos + 4
-        if end <= len(data):
-            end += _U32.unpack_from(data, pos)[0]
-        if end > len(data):
-            raise MalformedDocument(f"truncated: length-prefixed value at offset {pos}")
-        self._pos = end
-        return data[pos + 4 : end]
+        return self.take(self.u32())
 
     def flag(self) -> bool:
         value = self.u8()
@@ -231,9 +218,10 @@ def decode(data: bytes) -> Document:
     doc_type, field_count = r.take(2)
     values = []
     for tag in range(1, field_count + 1):
-        if r.u8() != tag:
+        found, length = _FIELD_HEADER.unpack(r.take(_FIELD_HEADER.size))
+        if found != tag:
             raise MalformedDocument(f"{DOC_TYPE_NAMES.get(doc_type, 'unknown')} document missing field 0x{tag:02x}")
-        values.append(r.prefixed())
+        values.append(r.take(length))
     return Document(doc_type, tuple(values), r.rest())
 
 

@@ -5,19 +5,20 @@ Requests (one per line, space-separated, hex arguments):
     DEV <uuid-hex>
     STATE <uuid-hex> <digest-hex>
 
-A connection carries any number of request lines; one over MAX_REQUEST_LINE
-bytes, newline included, gets BADREQ and a hang-up. One silent for IDLE_TIMEOUT
-seconds is closed without a reply; StoreServer.stop() closes the rest. A
-StoreClient sends one lookup at a time, under a lock, down one connection and
-drops it after anything but a reply line of at most MAX_RESPONSE_LINE bytes,
-newline included. It resends once, on a new one, if a reused connection ends
-before any reply byte (as after the idle drop), and raises StoreUnavailable
-when the socket fails: refused, reset or timed out. close() or `with` closes it.
+A connection carries any number of request lines, each answered by exactly one
+line (a blank one gets BADREQ); one over MAX_REQUEST_LINE bytes, newline
+included, gets BADREQ and a hang-up. One silent for IDLE_TIMEOUT seconds is
+closed without a reply; StoreServer.stop() closes the rest. A StoreClient sends
+one lookup at a time, under a lock, down one connection and drops it after
+anything but a reply line of at most MAX_RESPONSE_LINE bytes, newline included.
+It resends once, on a new one, if a reused connection ends before any reply
+byte (as after the idle drop), and raises StoreUnavailable when the socket
+fails: refused, reset or timed out. close() or `with` closes it.
 
 A StoreClient keeps each DEV answer it decoded, by UUID, for its lifetime: the
-store admits one certificate per UUID and never rewrites a record, and the
-server is read-only, so that answer cannot change. Nothing else is kept; every
-STATE answer (its current flag goes stale) and failed DEV lookup is asked again.
+store admits one certificate per UUID and never rewrites a record, so that
+answer cannot change. Nothing else is kept; every STATE answer (its current
+flag goes stale) and failed DEV lookup is asked again.
 
 Responses:
 
@@ -32,9 +33,10 @@ unless the second is the certificate the first names as its issuer
 payload: current flag(1) || firmware metadata (UTF-8). The client raises
 ParseError on an empty payload or a flag other than 0 or 1.
 
-The server is read-only, so a resend is safe: all writes happen in the owning
-process before it starts serving, which also keeps the store's single-writer
-contract.
+A StoreServer only reads its Store, so a resend is safe. `tlt store serve`
+serves the log as it loaded it, while other `tlt` commands write the log: after
+`device configure --store`, a kept old copy of the device still gets
+verified_current over `--connect`.
 """
 
 from __future__ import annotations
@@ -120,14 +122,11 @@ class _Handler(socketserver.StreamRequestHandler):
         self.connection.settimeout(IDLE_TIMEOUT)
         with contextlib.suppress(TimeoutError, ConnectionError):  # idle or reset: the socket is closed after handle()
             while raw := self.rfile.readline(MAX_REQUEST_LINE + 1):
-                too_long = len(raw) > MAX_REQUEST_LINE
-                line = raw.decode(errors="replace").rstrip("\r\n")
-                if not line and not too_long:
-                    continue
-                response = "ERR BADREQ" if too_long else handle_request_line(self.server.tlt_store, line)
-                self.wfile.write((response + "\n").encode())  # unbuffered: sent before the next read
-                if too_long:
+                if len(raw) > MAX_REQUEST_LINE:
+                    self.wfile.write(b"ERR BADREQ\n")
                     return  # the rest of the line is never read
+                response = handle_request_line(self.server.tlt_store, raw.decode(errors="replace").rstrip("\r\n"))
+                self.wfile.write((response + "\n").encode())  # unbuffered: sent before the next read
 
 
 class StoreServer(socketserver.ThreadingTCPServer):

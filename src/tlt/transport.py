@@ -10,10 +10,10 @@ Frame layouts (sizes mirror BLE payload budgets):
         payload
 
 Payloads are cut into 250-byte slices so each frame stays within 255 bytes.
-The radio itself is not modelled: verifier.run_exchange hands each list of
-encoded frames straight to the receiving side. The transport does not
-authenticate anything: corruption surfaces as a signature failure at the
-verifier.
+send makes a message's encoded frames and receive reads them back. The radio
+itself is not modelled: verifier.run_exchange hands each side's frames
+straight to the other side. The transport does not authenticate anything:
+corruption surfaces as a signature failure at the verifier.
 """
 
 from __future__ import annotations
@@ -116,11 +116,9 @@ def encode_data_frame(frame: DataFrame) -> bytes:
 def parse_data_frame(data: bytes) -> DataFrame:
     data = bytes(data)
     _traced("dec", data)
-    if len(data) < DATA_HEADER_LEN:
-        raise ParseError("truncated data frame header")
     if len(data) > DATA_MAX:
         raise ParseError(f"frame exceeds {DATA_MAX} bytes")
-    payload_len = int.from_bytes(data[3:5], "big")
+    payload_len = int.from_bytes(data[3:5], "big")  # a frame under 5 bytes has 5 + payload_len > len(data)
     if DATA_HEADER_LEN + payload_len != len(data):
         raise ParseError("payload length does not match frame size")
     return DataFrame(msg_type=data[0], frag_index=data[1], frag_total=data[2], payload=data[5:])
@@ -143,13 +141,11 @@ def reassemble(frames) -> tuple[int, bytes]:
     frames = list(frames)
     if not frames:
         raise MissingFragment("no frames")
-    msg_type = frames[0].msg_type
-    total = frames[0].frag_total
+    msg_type, total = frames[0].msg_type, frames[0].frag_total
+    by_index = {}
     for f in frames:
         if f.msg_type != msg_type or f.frag_total != total:
             raise InconsistentSet("frames disagree on msg_type or frag_total")
-    by_index = {}
-    for f in frames:
         if f.frag_index in by_index:
             raise InconsistentSet(f"duplicate fragment {f.frag_index}")
         by_index[f.frag_index] = f
@@ -157,6 +153,11 @@ def reassemble(frames) -> tuple[int, bytes]:
     if missing:
         raise MissingFragment(f"missing fragment(s) {missing}")
     return msg_type, b"".join(by_index[i].payload for i in range(total))
+
+
+def send(msg_type: int, payload: bytes) -> list[bytes]:
+    """The encoded frames of one message; receive is its inverse."""
+    return [encode_data_frame(f) for f in fragment(msg_type, payload)]
 
 
 def receive(frames, msg_type: int) -> bytes:

@@ -92,8 +92,7 @@ class Verifier:
         """
         session = ChallengeSession(bytes(uuid), crypto.new_nonce(self._rng))
         self._sessions[session.uuid] = session
-        frames = transport.fragment(transport.MSG_CHALLENGE, session.challenge)
-        return session, [transport.encode_data_frame(f) for f in frames]
+        return session, transport.send(transport.MSG_CHALLENGE, session.challenge)
 
     def verify_response(
         self, session: ChallengeSession, response: bytes, device_view: DeviceView | None, store
@@ -159,8 +158,8 @@ def run_exchange(store_view, device: DeviceState, rng, respond=None) -> TrustVer
     challenge = transport.receive(frames, transport.MSG_CHALLENGE)
 
     payload = respond(challenge) if respond is not None else device.handle_challenge(challenge)
-    frames = [transport.encode_data_frame(f) for f in transport.fragment(transport.MSG_RESPONSE, payload)]
-    return user.verify_response(session, transport.receive(frames, transport.MSG_RESPONSE), view, store_view)
+    response = transport.receive(transport.send(transport.MSG_RESPONSE, payload), transport.MSG_RESPONSE)
+    return user.verify_response(session, response, view, store_view)
 
 
 def trust_decision(verdict: TrustVerdict, auto_accept: bool, prompt=None) -> bool:

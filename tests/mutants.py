@@ -63,6 +63,11 @@ MUTANTS = [
     ("session-consumed", "C06", VERIFIER, "if self._sessions.get(session.uuid) is not session:", "if False:",
      VERIFIER_TESTS),
     ("state-currency", "C06", VERIFIER, "if not state_view.current:", "if False:", VERIFIER_TESTS),
+    ("response-length", "C01", VERIFIER, "if len(response) != RESPONSE_LEN:", "if False:", VERIFIER_TESTS),
+    ("document-field-count", "C06", DOCUMENTS, "if len(self.values) != len(t.lengths):", "if False:", DOCUMENTS_TESTS),
+    ("device-uuid-version", "C01", DOCUMENTS,
+     "if self.doc_type == DOC_DEVICE and not crypto.is_uuid4(self.field(DEV_UUID)):", "if False:", DOCUMENTS_TESTS),
+    ("reader-bounds", "C06", DOCUMENTS, "if end > len(self._data):", "if False:", DOCUMENTS_TESTS),
     ("chain-issuer-type", "C01 C03", DOCUMENTS, "if issuer.doc_type != _TYPES[child.doc_type].issuer:", "if False:",
      DOCUMENTS_TESTS),
     ("chain-identity-binding", "C01 C03", DOCUMENTS, "if issuer_key(child) not in (None, certificate_key(issuer)):",
@@ -88,6 +93,9 @@ MUTANTS = [
      DEVICE_TESTS),
     ("boot-configuration-slot", "C05", DEVICE, "self._check_slot(self.cfg, documents.DOC_CONFIGURATION)", "pass",
      DEVICE_TESTS),
+    ("device-file-magic", "C04", DEVICE, 'raise MalformedDocument("not a device state file")', "pass", DEVICE_TESTS),
+    ("device-file-version", "C04", DEVICE, 'raise MalformedDocument("unsupported device state version")', "pass",
+     DEVICE_TESTS),
     ("device-config-seq", "C05", DEVICE, "if seq <= self.config_seq():", "if False:", DEVICE_TESTS),
     ("dev-answer-issuer", "C01", NETSTORE,
      "if dcrt.doc_type != documents.DOC_DEVICE or documents.issuer_key(dcrt) != documents.certificate_key(mcrt):",
@@ -95,6 +103,8 @@ MUTANTS = [
     ("dev-answer-uuid", "C01", NETSTORE, "if documents.subject_uuid(dcrt) != bytes(uuid):", "if False:",
      NETSTORE_TESTS),
     ("message-type", "C01", TRANSPORT, "if received != msg_type:", "if False:", TRANSPORT_TESTS),
+    ("data-frame-length", "C06", TRANSPORT, "if DATA_HEADER_LEN + payload_len != len(data):", "if False:",
+     TRANSPORT_TESTS),
 ]
 
 

@@ -16,7 +16,7 @@ import pytest
 from tlt import crypto, documents, netstore, transport
 from tlt import store as store_mod
 from tlt.cli import main
-from tlt.device import load_device
+from tlt.device import encode_device, load_device
 from tlt.netstore import StoreClient
 from tlt.store import Store, load_store
 
@@ -379,6 +379,21 @@ def test_a_failed_write_leaves_the_files_before_or_after(workspace, capsys, monk
         committed.append(log in placed)
     assert (code, _files(workspace)) == (0, after)  # the first run with no fault left
     assert committed == [False] * (3 * len(outputs) + 4) + [True] * len(outputs)
+
+
+@pytest.mark.parametrize("with_store", [True, False], ids=["store", "no-store"])
+def test_an_install_that_leaves_the_device_failed_writes_nothing(workspace, capsys, with_store):
+    """A configuration slot signed by another key keeps the device failed, so the install records nothing."""
+    _provision(workspace, capsys)
+    dev = load_device(workspace / "dev.tltdev")
+    _, foreign_sk = crypto.generate_keypair(crypto.SeededRandomSource(5))
+    dev.cfg = documents.make_configuration_document(b"forged", dev.uuid, 2, foreign_sk)
+    (workspace / "dev.tltdev").write_bytes(encode_device(dev))
+    before = _files(workspace)
+    argv = _INSTALL if with_store else [a for a in _INSTALL if a not in ("--store", "s.tltlog")]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "NotOperational: device is integrity_failed\n")
+    assert _files(workspace) == before
 
 
 # ---------------------------------------------------------------------------

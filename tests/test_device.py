@@ -453,6 +453,20 @@ def test_load_device_rejects_mismatched_key(tmp_path, stack, rng):
         load_device(path)
 
 
+@pytest.mark.parametrize("at, byte, message", [
+    (0, ord("X"), "not a device state file"),
+    (4, 3, "unsupported device state version"),
+], ids=["magic", "version-3"])
+def test_load_device_refuses_another_magic_or_version(tmp_path, stack, at, byte, message):
+    path = tmp_path / "dev.tltdev"
+    write_device(stack.dev, path)
+    blob = bytearray(path.read_bytes())
+    blob[at] = byte
+    path.write_bytes(bytes(blob))
+    with pytest.raises(MalformedDocument, match=f"^{message}$"):
+        load_device(path)
+
+
 def test_load_device_rejects_truncation(tmp_path, stack):
     path = tmp_path / "dev.tltdev"
     write_device(stack.dev, path)

@@ -73,6 +73,33 @@ def test_encode_rejects_non_ascending_tags():
             documents.decode(root(*tagged))
 
 
+def _wire(doc_type: int, values) -> bytes:
+    """The unsigned wire bytes of values, encoded by hand: for values that Document refuses to hold."""
+    fields = b"".join(bytes([tag]) + documents.prefixed(value) for tag, value in enumerate(values, 1))
+    return bytes([doc_type, len(values)]) + fields
+
+
+def test_a_document_with_an_extra_value_is_malformed(stack):
+    """The field count is checked: a trailing value would otherwise encode and decode to itself."""
+    extra = (*stack.root.values, b"extra")
+    with pytest.raises(MalformedDocument, match="^root document has wrong field count$"):
+        Document(documents.DOC_ROOT, extra)
+    with pytest.raises(MalformedDocument, match="^root document has wrong field count$"):
+        documents.decode(_wire(documents.DOC_ROOT, extra))
+
+
+def test_a_signed_device_certificate_with_a_version_1_uuid_is_malformed(stack):
+    """decode checks the UUID version itself; make_device_certificate refuses such a UUID before signing."""
+    uuid = bytearray(stack.dev.uuid)
+    uuid[6] = (uuid[6] & 0x0F) | 0x10  # version 1, variant bits kept
+    values = list(stack.dcrt.values)
+    values[documents.DEV_UUID - 1] = bytes(uuid)
+    body = _wire(documents.DOC_DEVICE, values)
+    signed = body + crypto.key_id(crypto.public_key_of(stack.mfr_sk)) + crypto.sign(stack.mfr_sk, body)
+    with pytest.raises(MalformedDocument, match="^device uuid is not a valid random UUID$"):
+        documents.decode(signed)
+
+
 def test_decode_truncated_raises(stack):
     encoded = documents.encode_canonical(stack.dcrt)
     for cut in (1, 3, len(encoded) // 2, len(encoded) - 1):

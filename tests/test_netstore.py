@@ -229,6 +229,18 @@ def test_server_handles_garbage_lines(stack):
         assert _raw_query(server.address, "DEV zz zz zz") == "ERR BADREQ"
 
 
+def test_server_answers_a_blank_line_on_a_connection_that_stays_open(stack):
+    """Every request line gets exactly one reply, a blank one too."""
+    dev_request = f"DEV {stack.dev.uuid.hex()}"
+    with StoreServer(stack.store, port=0) as server:
+        with socket.create_connection(server.address, timeout=2) as sock, sock.makefile("rb") as reply:
+            for blank in (b"\n", b"\r\n"):
+                sock.sendall(blank)
+                assert reply.readline() == b"ERR BADREQ\n"
+            sock.sendall(dev_request.encode() + b"\n")
+            assert reply.readline() == (handle_request_line(stack.store, dev_request) + "\n").encode()
+
+
 def test_server_rejects_overlong_line(stack):
     """A request with no newline in sight is answered and dropped, not buffered."""
     with StoreServer(stack.store, port=0) as server:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlt import crypto, transport
-from tlt.errors import InconsistentSet, MissingFragment, ParseError, PayloadTooLarge
+from tlt.errors import InconsistentSet, MissingFragment, ParseError, PayloadTooLarge, TltError
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,8 @@ def test_reassemble_inconsistent_set(rng):
 
 def test_receive_reads_only_its_message_type(rng):
     payload = rng.bytes(600)
-    wire = [transport.encode_data_frame(f) for f in transport.fragment(transport.MSG_RESPONSE, payload)]
+    wire = transport.send(transport.MSG_RESPONSE, payload)
+    assert wire == [transport.encode_data_frame(f) for f in transport.fragment(transport.MSG_RESPONSE, payload)]
     assert transport.receive(wire, transport.MSG_RESPONSE) == payload
     with pytest.raises(ParseError, match="expected message type 0x01, got 0x02"):
         transport.receive(wire, transport.MSG_CHALLENGE)
@@ -173,6 +174,39 @@ def test_parse_data_frame_rejects_bad_counters(rng):
     bad_index[1] = 5  # index >= total
     with pytest.raises(ParseError):
         transport.parse_data_frame(bytes(bad_index))
+
+
+@given(st.binary(max_size=transport.DATA_MAX + 5))
+def test_any_bytes_parse_to_their_data_frame_or_an_error(data):
+    try:
+        frame = transport.parse_data_frame(data)
+    except (ParseError, PayloadTooLarge):
+        return
+    assert transport.encode_data_frame(frame) == data
+
+
+@given(st.binary(max_size=transport.DATA_HEADER_LEN - 1))
+def test_every_frame_under_five_bytes_is_a_parse_error(data):
+    with pytest.raises(ParseError, match="^payload length does not match frame size$"):
+        transport.parse_data_frame(data)
+
+
+# Near-valid frames: either message type, small counters and a true length field.
+_near_valid_frame = st.builds(
+    lambda msg_type, index, total, payload: bytes([msg_type, index, total, 0, len(payload)]) + payload,
+    st.sampled_from([transport.MSG_CHALLENGE, transport.MSG_RESPONSE]),
+    st.integers(0, 1), st.integers(1, 2), st.binary(max_size=4),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(_near_valid_frame, max_size=3) | st.lists(st.binary(max_size=8), max_size=3))
+def test_receive_of_any_frames_is_a_payload_or_a_tlt_error(frames):
+    try:
+        payload = transport.receive(frames, transport.MSG_RESPONSE)
+    except TltError:
+        return
+    assert payload == b"".join(frame[5:] for frame in sorted(frames, key=lambda frame: frame[1]))
 
 
 def test_data_frame_payload_cap():

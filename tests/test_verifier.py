@@ -4,7 +4,7 @@ import pytest
 
 from tlt import crypto, documents, transport
 from tlt.errors import NoSuchSession, ParseError
-from tlt.verifier import StateCheck, TrustVerdict, Verifier, parse_verdict_line, scan, trust_decision
+from tlt.verifier import StateCheck, TrustVerdict, Verifier, parse_verdict_line, run_exchange, scan, trust_decision
 
 from conftest import build_stack
 
@@ -127,6 +127,9 @@ def test_bad_signature_detected(stack, rng):
 def test_wrong_length_response_is_bad_signature(stack, rng):
     verdict = _attest(stack, Verifier(rng), response=b"\x01" * 60)
     assert verdict.state_check == StateCheck.BAD_SIGNATURE
+    # crypto.verify refuses a cut response too; the length check says why, on the VERDICT line
+    verdict = run_exchange(stack.store, stack.dev, rng, respond=lambda nonce: stack.dev.handle_challenge(nonce)[:-1])
+    assert verdict.render().endswith(" state=bad_signature gate=0 reason=response is 127 bytes, expected 128")
 
 
 def test_replay_detected(stack, rng):
