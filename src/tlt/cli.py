@@ -339,6 +339,7 @@ def _cmd_store_dump(args) -> int:
             detail = documents.subject_uuid(doc).hex()
         else:
             detail = f"{documents.subject_uuid(doc).hex()} seq={documents.config_seq(doc)}"
+        detail = "".join(c if c.isprintable() else repr(c)[1:-1] for c in detail)  # one line of four fields
         print(f"{seq}\t{kind}\t{documents.doc_digest(doc).hex()[:16]}\t{detail}")
     return 0
 

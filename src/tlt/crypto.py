@@ -8,8 +8,9 @@ own OpenSSL; the standard library's hashlib would map the system libcrypto
 as a second copy (about 3.6 MB resident), so no module here imports hashlib,
 hmac or secrets. Secure randomness is os.urandom.
 
-Key files are binary: one suite byte followed by the raw key bytes
-(`.tltkey` for secret keys, `.tltpub` for public keys).
+Key material is one suite byte followed by the raw key bytes. key_bytes is its
+one writer: of key files (`.tltkey` secret, `.tltpub` public), of document key
+fields, of the key in a `.tltdev` file, and of key_id's input.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def verify(pk: PublicKey, msg: bytes, sig: bytes) -> bool:
 
 def key_id(pk: PublicKey) -> bytes:
     """16-byte identifier for a public key: sha256(suite || key)[:16]."""
-    return digest(bytes([pk.suite_id]) + pk.data)[:KEY_ID_LEN]
+    return digest(key_bytes(pk))[:KEY_ID_LEN]
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +187,7 @@ def read_file(path) -> bytes:
 
 
 def key_bytes(key: PublicKey | SecretKey) -> bytes:
-    """The content of a `.tltkey` or `.tltpub` file."""
+    """suite || key: the content of a `.tltkey` or `.tltpub` file, and a document's key field."""
     return bytes([key.suite_id]) + key.data
 
 

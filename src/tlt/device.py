@@ -195,8 +195,7 @@ def encode_device(dev: DeviceState) -> bytes:
     out = bytearray(_DEV_MAGIC)
     out.append(_DEV_VERSION)
     out += dev.uuid
-    out.append(dev.public_key.suite_id)
-    out += dev.public_key.data
+    out += crypto.key_bytes(dev.public_key)
     out += dev.cert_digest
     out += documents.prefixed(documents.encode_canonical(dev.trusted_root))
     out += len(dev.verified_digests).to_bytes(4, "big")

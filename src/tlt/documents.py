@@ -283,10 +283,6 @@ def embedded_public_key(doc: Document) -> PublicKey:
     return PublicKey(raw[0], raw[1:])
 
 
-def _pk_field(pk: PublicKey) -> bytes:
-    return bytes([pk.suite_id]) + pk.data
-
-
 def issuer_key(doc: Document) -> tuple[int, bytes] | None:
     """(doc_type, id) of the certificate that must sign doc; None if the root signs it or it is the root."""
     t = _TYPES[doc.doc_type]
@@ -325,7 +321,7 @@ def make_root_certificate(info: str, public_key: PublicKey, secret_key: SecretKe
     """Self-signed root anchoring all chain verification."""
     if crypto.public_key_of(secret_key) != public_key:
         raise InvalidKey("secret key does not match the authority public key")
-    return sign(Document(DOC_ROOT, (info.encode(), _pk_field(public_key))), secret_key)
+    return sign(Document(DOC_ROOT, (info.encode(), crypto.key_bytes(public_key))), secret_key)
 
 
 def make_manufacturer_certificate(
@@ -333,7 +329,7 @@ def make_manufacturer_certificate(
 ) -> Document:
     """Authority-signed manufacturer certificate with a fresh 16-byte id."""
     mfr_id = crypto.random_bytes(MFR_ID_LEN, rng)
-    doc = Document(DOC_MANUFACTURER, (mfr_info.encode(), mfr_id, _pk_field(mfr_pk)))
+    doc = Document(DOC_MANUFACTURER, (mfr_info.encode(), mfr_id, crypto.key_bytes(mfr_pk)))
     return sign(doc, authority_sk)
 
 
@@ -345,7 +341,7 @@ def make_device_certificate(
     if not crypto.is_uuid4(uuid):
         raise ConstraintViolation("device uuid is not a valid random UUID")
     _, mfr_id = certificate_key(mfr_cert)
-    doc = Document(DOC_DEVICE, (dinf.encode(), _pk_field(device_pk), bytes(uuid), mfr_id))
+    doc = Document(DOC_DEVICE, (dinf.encode(), crypto.key_bytes(device_pk), bytes(uuid), mfr_id))
     return sign(doc, mfr_sk)
 
 

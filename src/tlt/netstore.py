@@ -7,13 +7,14 @@ Requests (one per line, space-separated, hex arguments):
 
 A connection carries any number of request lines, each answered by exactly one
 line (a blank one gets BADREQ); one over MAX_REQUEST_LINE bytes, newline
-included, gets BADREQ and a hang-up. One silent for IDLE_TIMEOUT seconds is
-closed without a reply; StoreServer.stop() closes the rest. A StoreClient sends
-one lookup at a time, under a lock, down one connection and drops it after
-anything but a reply line of at most MAX_RESPONSE_LINE bytes, newline included.
-It resends once, on a new one, if a reused connection ends before any reply
-byte (as after the idle drop), and raises StoreUnavailable when the socket
-fails: refused, reset or timed out. close() or `with` closes it.
+included, gets BADREQ and a hang-up. One silent for IDLE_TIMEOUT (twice
+TIMEOUT) seconds is closed without a reply; StoreServer.stop() closes the rest.
+A StoreClient sends one lookup at a time, under a lock, down one connection and
+drops it after anything but a reply line of at most MAX_RESPONSE_LINE bytes,
+newline included. It resends once, on a new one, if a reused connection ends
+before any reply byte (as after the idle drop), and raises StoreUnavailable
+when the socket fails: refused, reset, hung up before the reply's newline, or
+silent for TIMEOUT seconds. close() or `with` closes it.
 
 A StoreClient keeps each DEV answer it decoded, by UUID, for its lifetime: the
 store admits one certificate per UUID and never rewrites a record, so that
@@ -56,8 +57,9 @@ MAX_REQUEST_LINE = 1024
 # Certificate info strings are user text, so a DEV answer has no fixed size;
 # the test fixtures' DEV answer is 710 bytes with its newline.
 MAX_RESPONSE_LINE = 65536
-# Twice StoreClient's default timeout: a connection silent this long is dropped.
-IDLE_TIMEOUT = 10.0
+# StoreClient waits this long to connect and for each reply; the server drops a connection silent for twice that.
+TIMEOUT = 5.0
+IDLE_TIMEOUT = 2 * TIMEOUT
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +185,9 @@ class StoreClient(contextlib.AbstractContextManager):
     verifier can use either interchangeably.
     """
 
-    def __init__(self, host: str, port: int, timeout: float = 5.0):
+    def __init__(self, host: str, port: int):
         self._addr = (host, port)
-        self._timeout = timeout
+        self._name = f"store at {host}:{port}"  # as errors name it
         self._lock = threading.RLock()  # one request in flight; re-entered when a lookup calls close()
         self._sock = self._reply = None  # the connection and its buffered reader
         self._devices: dict[bytes, DeviceView] = {}  # every DEV answer decoded, by UUID; never evicted
@@ -209,7 +211,7 @@ class StoreClient(contextlib.AbstractContextManager):
                 for reused in (self._sock is not None, False):  # a resend goes on a new connection
                     if not reused:
                         self.close()
-                        self._sock = socket.create_connection(self._addr, timeout=self._timeout)
+                        self._sock = socket.create_connection(self._addr, timeout=TIMEOUT)
                         self._reply = self._sock.makefile("rb")
                     with contextlib.suppress(*((ConnectionResetError, BrokenPipeError) if reused else ())):
                         self._sock.sendall((request + "\n").encode())
@@ -217,12 +219,14 @@ class StoreClient(contextlib.AbstractContextManager):
                             break  # a reply has begun, or this connection is new
                 raw = self._reply.readline(MAX_RESPONSE_LINE + 1)
             except OSError as exc:  # refused, reset or timed out
-                raise StoreUnavailable(f"store at {self._addr[0]}:{self._addr[1]}: {exc}") from None
+                raise StoreUnavailable(f"{self._name}: {exc}") from None
             finally:
                 if not raw.endswith(b"\n"):
                     self.close()
         if len(raw) > MAX_RESPONSE_LINE:
             raise TltError("store response too long")
+        if not raw.endswith(b"\n"):  # the store hung up mid-reply
+            raise StoreUnavailable(f"{self._name}: connection closed before a whole reply line")
         return raw.decode(errors="replace").rstrip("\r\n")
 
     def _payload(self, request: str) -> bytes:

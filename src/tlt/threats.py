@@ -51,20 +51,16 @@ class ScenarioReport:
     scenario_id: str
     title: str
     passed: bool
-    state_check: str
+    verdict: TrustVerdict
     controls_fired: tuple[str, ...]
     notes: list[str] = field(default_factory=list)
-
-    @property
-    def gate(self) -> bool:
-        return self.state_check == StateCheck.VERIFIED_CURRENT.value
 
     def render(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         controls = ",".join(self.controls_fired)
         return (
             f"SCENARIO {self.scenario_id} {self.title}: {status} "
-            f"state={self.state_check} gate={1 if self.gate else 0} controls={controls}"
+            f"state={self.verdict.state_check.value} gate={self.verdict.gate:d} controls={controls}"
         )
 
 
@@ -244,7 +240,7 @@ def run_scenario(scenario_id: str, seed: int | None = None) -> ScenarioReport:
         scenario_id=scenario_id,
         title=title,
         passed=verdict.state_check in expected,
-        state_check=verdict.state_check.value,
+        verdict=verdict,
         controls_fired=tuple(sorted(THREAT_CONTROL_MAP.get(scenario_id, ("C06",)))),
         notes=notes + [f"verdict: {verdict.render()}"],
     )

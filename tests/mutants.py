@@ -102,6 +102,8 @@ MUTANTS = [
      "if dcrt.doc_type != documents.DOC_DEVICE:", NETSTORE_TESTS),
     ("dev-answer-uuid", "C01", NETSTORE, "if documents.subject_uuid(dcrt) != bytes(uuid):", "if False:",
      NETSTORE_TESTS),
+    ("torn-reply", "C06", NETSTORE, 'if not raw.endswith(b"\\n"):  # the store hung up mid-reply', "if False:",
+     NETSTORE_TESTS),
     ("message-type", "C01", TRANSPORT, "if received != msg_type:", "if False:", TRANSPORT_TESTS),
     ("data-frame-length", "C06", TRANSPORT, "if DATA_HEADER_LEN + payload_len != len(data):", "if False:",
      TRANSPORT_TESTS),

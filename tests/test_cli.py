@@ -30,19 +30,19 @@ def workspace(tmp_path, monkeypatch):
     return tmp_path
 
 
-def _provision(ws, capsys) -> dict:
+def _provision(ws, capsys, mfr_info="Acme Devices", fw_meta="lock v1.0", dev_info="smart lock") -> dict:
     """authority init -> mfr register -> sign-fw -> device birth/install/configure."""
     steps = [
         ["authority", "init", "--store", "s.tltlog", "--key", "authority.tltkey", "--info", "Root"],
         ["mfr", "register", "--store", "s.tltlog", "--authority-key", "authority.tltkey",
-         "--key", "acme.tltkey", "--info", "Acme Devices"],
+         "--key", "acme.tltkey", "--info", mfr_info],
     ]
     (ws / "fw.bin").write_bytes(b"\x90" * 321)
     steps.append(["mfr", "sign-fw", "--store", "s.tltlog", "--key", "acme.tltkey",
-                  "--cert", "acme.tltdoc", "--image", "fw.bin", "--meta", "lock v1.0",
+                  "--cert", "acme.tltdoc", "--image", "fw.bin", "--meta", fw_meta,
                   "--out", "fw.tltdoc"])
     steps.append(["device", "birth", "--store", "s.tltlog", "--mfr-key", "acme.tltkey",
-                  "--mfr-cert", "acme.tltdoc", "--info", "smart lock", "--out", "dev.tltdev"])
+                  "--mfr-cert", "acme.tltdoc", "--info", dev_info, "--out", "dev.tltdev"])
     steps.append(["device", "install", "--store", "s.tltlog", "--device", "dev.tltdev",
                   "--fw", "fw.tltdoc", "--image", "fw.bin", "--mfr-cert", "acme.tltdoc"])
     (ws / "cfg.json").write_bytes(b'{"mode":"demo"}')
@@ -129,6 +129,21 @@ def test_store_dump(workspace, capsys):
     assert len(lines) == 6
     assert lines[0].startswith("0\troot")
     assert lines[5].startswith("5\tconfiguration")
+
+
+def test_store_dump_escapes_what_is_not_printable(workspace, capsys):
+    """Third-party text cannot forge a dump line: what str.isprintable() refuses is written as repr writes it."""
+    forged = "\n7\tdevice\tdeadbeefdeadbeef\tforged"
+    _provision(workspace, capsys, mfr_info="Acme" + forged, fw_meta="v1\r\x00 Größe ✓",
+               dev_info="lock\x1b[2J\u2028")
+    assert main(["store", "dump", "--store", "s.tltlog"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    kinds = ["root", "manufacturer", "firmware", "device", "installation", "configuration"]
+    assert [line.split("\t")[:2] for line in lines] == [[str(seq), kind] for seq, kind in enumerate(kinds)]
+    assert all(len(line.split("\t")) == 4 for line in lines)
+    assert lines[1].endswith("\tAcme\\n7\\tdevice\\tdeadbeefdeadbeef\\tforged")
+    assert lines[2].endswith("\tv1\\r\\x00 Größe ✓")
+    assert lines[3].endswith(" lock\\x1b[2J\\u2028")
 
 
 def test_verify_decide(workspace, capsys, monkeypatch):

@@ -33,8 +33,8 @@ def _raw_query(addr, line: str) -> str:
 
 
 @contextlib.contextmanager
-def _stand_in(reply: bytes):
-    """A server on 127.0.0.1 that answers one request line with `reply` and keeps the socket open."""
+def _stand_in(reply: bytes, hang_up: bool = False):
+    """A server on 127.0.0.1 that answers one request line with `reply`, then keeps the socket open or hangs up."""
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(5)
     done = threading.Event()
@@ -44,7 +44,8 @@ def _stand_in(reply: bytes):
         with conn, conn.makefile("rb") as request:
             request.readline()
             conn.sendall(reply)
-            done.wait(5)
+            if not hang_up:
+                done.wait(5)
 
     thread = threading.Thread(target=serve_one, daemon=True)
     thread.start()
@@ -331,9 +332,10 @@ def test_client_never_reuses_a_connection_after_a_bad_reply(stack, monkeypatch, 
         handler.rfile.read()  # silent until the client hangs up or the server stops
 
     monkeypatch.setattr(netstore._Handler, "handle", bad_first)
+    monkeypatch.setattr(netstore, "TIMEOUT", 0.5)
     with StoreServer(stack.store, port=0) as server:
         accepts = _count_accepts(server)
-        with StoreClient(*server.address, timeout=0.5) as client:
+        with StoreClient(*server.address) as client:
             with pytest.raises(StoreUnavailable if fault == "cut-mid-line" else TltError):
                 client.lookup_device(stack.dev.uuid)
             assert client.lookup_device(stack.dev.uuid) == stack.store.lookup_device(stack.dev.uuid)
@@ -456,6 +458,16 @@ def test_client_rejects_overlong_response(stack):
             client.lookup_device(stack.dev.uuid)
         assert time.monotonic() - start < 2
         assert len(str(excinfo.value)) < 200
+
+
+@pytest.mark.parametrize("cut", [0, 2, 5, 7, -1])
+def test_a_reply_cut_off_by_a_hang_up_is_unavailable(stack, cut):
+    """Only a whole reply line is read: `OK 01` and a hang-up is no current state, and no reply at all is no answer."""
+    digest = stack.dev.compute_state_digest()
+    honest = handle_request_line(stack.store, f"STATE {stack.dev.uuid.hex()} {digest.hex()}") + "\n"
+    with _stand_in(honest.encode()[:cut], hang_up=True) as addr, StoreClient(*addr) as client:
+        with pytest.raises(StoreUnavailable, match=f"^store at {addr[0]}:{addr[1]}: "):
+            client.lookup_state(stack.dev.uuid, digest)
 
 
 def test_client_error_quotes_a_bounded_part_of_the_response(stack):

@@ -22,21 +22,21 @@ def test_all_scenarios_pass():
 
 def test_expected_outcomes():
     by_id = {r.scenario_id: r for r in run_all(seed=23)}
-    assert by_id["CTRL"].state_check == "verified_current" and by_id["CTRL"].gate
-    assert by_id["TA01"].state_check == "unknown_state"
-    assert by_id["TA02"].state_check == "verified_stale"
-    assert by_id["TA03"].state_check == "bad_signature"
-    assert by_id["TA04"].state_check == "unknown_state"
-    assert by_id["TA05"].state_check in ("unknown_device", "bad_signature")
-    assert by_id["TA06"].state_check == "unknown_state"
+    assert by_id["CTRL"].verdict.state_check.value == "verified_current" and by_id["CTRL"].verdict.gate
+    assert by_id["TA01"].verdict.state_check.value == "unknown_state"
+    assert by_id["TA02"].verdict.state_check.value == "verified_stale"
+    assert by_id["TA03"].verdict.state_check.value == "bad_signature"
+    assert by_id["TA04"].verdict.state_check.value == "unknown_state"
+    assert by_id["TA05"].verdict.state_check.value in ("unknown_device", "bad_signature")
+    assert by_id["TA06"].verdict.state_check.value == "unknown_state"
     for tid in ("TA01", "TA02", "TA03", "TA04", "TA05", "TA06"):
-        assert not by_id[tid].gate, tid
+        assert not by_id[tid].verdict.gate, tid
 
 
 def test_gate_closed_for_every_threat_scenario():
     for report in run_all(seed=5):
         if report.scenario_id != "CTRL":
-            assert not report.gate
+            assert not report.verdict.gate
 
 
 def test_deterministic_under_seed():
@@ -69,7 +69,7 @@ def test_reports_name_controls_in_render():
 def test_single_scenario_run():
     report = run_scenario("TA05", seed=13)
     assert report.passed
-    assert report.state_check == "unknown_device"
+    assert report.verdict.state_check.value == "unknown_device"
     assert any("bad_signature" in note for note in report.notes)
 
 
@@ -87,8 +87,8 @@ def test_an_unexpected_state_fails_the_scenario_and_sets_its_gate(monkeypatch, s
 
     monkeypatch.setattr(threats, "run_exchange", swap_state)
     report = run_scenario(scenario_id, seed=4)
-    assert report.state_check == state.value
-    assert report.gate == (state is StateCheck.VERIFIED_CURRENT)
+    assert report.verdict.state_check.value == state.value
+    assert report.verdict.gate == (state is StateCheck.VERIFIED_CURRENT)
     assert not report.passed
 
 
